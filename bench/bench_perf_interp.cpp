@@ -1,19 +1,19 @@
 /**
  * @file
  * Interpreter-throughput microbenchmark (rrbench --perf): measures
- * Cpu::run() speed in Minstr/s across the full dispatch matrix —
- * predecode off, and predecode on with Switch / Threaded / Fused
- * dispatch (docs/PERF.md) — over the examples/asm corpus plus
- * synthetic hot loops (pure ALU, load/store, and LDRRM context
- * ping-pong, the last stressing the relocation-table rebuild on every
- * mask switch).
+ * Cpu::run() speed in Minstr/s on both engines — the uncached
+ * reference (predecode off) and threaded superblock dispatch
+ * (predecode on, docs/PERF.md) — over the examples/asm and
+ * examples/os corpora plus synthetic hot loops (pure ALU, load/store,
+ * and LDRRM context ping-pong, the last stressing the
+ * relocation-table rebuild on every mask switch).
  *
  * Only deterministic counters (instret/cycles per repetition) go into
  * the compared table; wall-clock throughput is reported in notes,
  * which --compare ignores, so the committed baseline is stable across
- * machines. Each program additionally asserts that every mode retires
- * the identical instruction and cycle counts — the perf figure
- * doubles as a dispatch-matrix behaviour-neutrality check.
+ * machines. Each program additionally asserts that both engines
+ * retire the identical instruction and cycle counts — the perf figure
+ * doubles as an engine behaviour-neutrality check.
  *
  * Programs that leave memory untouched (verified once per program by
  * comparing post-run memory against the freshly loaded image) skip
@@ -124,32 +124,36 @@ addProgram(std::vector<PerfProgram> &corpus, const std::string &name,
     corpus.push_back({name, std::move(program), example});
 }
 
-/** The .s files under examples/asm in name order, plus hot loops. */
+/**
+ * The .s files under examples/asm and examples/os, each directory in
+ * name order, plus hot loops.
+ */
 std::vector<PerfProgram>
 buildCorpus(exp::ReportBuilder &ctx)
 {
     namespace fs = std::filesystem;
     std::vector<PerfProgram> corpus;
 
-    std::vector<fs::path> files;
-    std::error_code ec;
-    for (const auto &it : fs::directory_iterator(
-             RR_EXAMPLES_ASM_DIR, ec)) {
-        if (it.path().extension() == ".s")
-            files.push_back(it.path());
-    }
-    if (ec) {
-        ctx.text(exp::strf("note: examples corpus unavailable (%s); "
-                           "running synthetic programs only",
-                           RR_EXAMPLES_ASM_DIR));
-    }
-    std::sort(files.begin(), files.end());
-    for (const fs::path &path : files) {
-        std::ifstream in(path);
-        std::ostringstream source;
-        source << in.rdbuf();
-        addProgram(corpus, path.stem().string(), source.str(),
-                   /*example=*/true);
+    for (const char *dir : {RR_EXAMPLES_ASM_DIR, RR_EXAMPLES_OS_DIR}) {
+        std::vector<fs::path> files;
+        std::error_code ec;
+        for (const auto &it : fs::directory_iterator(dir, ec)) {
+            if (it.path().extension() == ".s")
+                files.push_back(it.path());
+        }
+        if (ec) {
+            ctx.text(exp::strf("note: examples corpus unavailable "
+                               "(%s); skipping it",
+                               dir));
+        }
+        std::sort(files.begin(), files.end());
+        for (const fs::path &path : files) {
+            std::ifstream in(path);
+            std::ostringstream source;
+            source << in.rdbuf();
+            addProgram(corpus, path.stem().string(), source.str(),
+                       /*example=*/true);
+        }
     }
 
     addProgram(corpus, "alu_loop", kAluLoop);
@@ -158,22 +162,19 @@ buildCorpus(exp::ReportBuilder &ctx)
     return corpus;
 }
 
-/** One leg of the dispatch matrix. */
+/** One engine: CpuConfig::predecode off (reference) or on. */
 struct ModeSpec
 {
     const char *name;
     bool predecode;
-    machine::DispatchMode dispatch;
 };
 
 constexpr ModeSpec kModes[] = {
-    {"off", false, machine::DispatchMode::Switch},
-    {"switch", true, machine::DispatchMode::Switch},
-    {"threaded", true, machine::DispatchMode::Threaded},
-    {"fused", true, machine::DispatchMode::Fused},
+    {"reference", false},
+    {"threaded", true},
 };
 constexpr size_t kNumModes = std::size(kModes);
-constexpr size_t kFusedIdx = kNumModes - 1;
+constexpr size_t kThreadedIdx = 1;
 
 struct Measurement
 {
@@ -193,7 +194,6 @@ configFor(const ModeSpec &mode)
     // programs measure the interpreter rather than the harness.
     config.memWords = kMemWords;
     config.predecode = mode.predecode;
-    config.dispatch = mode.dispatch;
     return config;
 }
 
@@ -206,7 +206,7 @@ configFor(const ModeSpec &mode)
 bool
 memoryClean(const assembler::Program &program, uint32_t entry)
 {
-    machine::Cpu cpu(configFor(kModes[kFusedIdx]));
+    machine::Cpu cpu(configFor(kModes[kThreadedIdx]));
     cpu.mem().clear();
     cpu.mem().loadImage(program.base, program.words);
     cpu.setRrmImmediate(0);
@@ -228,11 +228,7 @@ runMode(const assembler::Program &program, const ModeSpec &mode,
 {
     machine::Cpu cpu(configFor(mode));
     rr_assert(cpu.predecodeActive() == mode.predecode,
-              "predecode activation mismatch in mode ", mode.name);
-    rr_assert(cpu.dispatchActive() ==
-                  (mode.predecode &&
-                   mode.dispatch != machine::DispatchMode::Switch),
-              "dispatch activation mismatch in mode ", mode.name);
+              "engine activation mismatch in mode ", mode.name);
 
     const auto start = std::chrono::steady_clock::now();
     for (unsigned rep = 0; rep < reps; ++rep) {
@@ -297,24 +293,25 @@ minstrPerSec(const Measurement &m)
 } // namespace
 
 RR_PERF_FIGURE(perf_interp,
-               "Interpreter throughput across the dispatch matrix: "
-               "predecode off / switch / threaded / fused (Minstr/s)")
+               "Interpreter throughput on both engines: uncached "
+               "reference / threaded superblocks (Minstr/s)")
 {
     using namespace rr;
 
-    ctx.text("Each program runs to HALT repeatedly in all four "
-             "dispatch modes;\nrepetition counts are derived from "
-             "deterministic instruction counts,\nnever from wall "
-             "time. The table holds per-repetition counters\n"
-             "(machine-independent); throughput and speedup are "
-             "notes.");
+    ctx.text("Each program runs to HALT repeatedly on both engines;\n"
+             "repetition counts are derived from deterministic "
+             "instruction counts,\nnever from wall time. The table "
+             "holds per-repetition counters\n(machine-independent); "
+             "throughput and speedup are notes.");
 
     std::vector<PerfProgram> corpus = buildCorpus(ctx);
 
     // Size every program to a common instruction budget so small
     // examples are repeated enough to time meaningfully. The rep cap
-    // bounds degenerate programs (a one-instruction entry) whose
-    // measurement beyond ~20k runs only re-times the harness reset.
+    // bounds very short programs, whose measurement beyond ~20k runs
+    // only re-times the harness reset. A program whose entry halts at
+    // once (a lint fixture that only declares its threads) would time
+    // nothing but the harness, so it is skipped.
     const uint64_t target_instr =
         ctx.run().fast ? 150'000 : 2'000'000;
     const uint64_t rep_cap = 20'000;
@@ -331,35 +328,37 @@ RR_PERF_FIGURE(perf_interp,
         const uint32_t entry = entryOf(p.program);
         const bool clean = memoryClean(p.program, entry);
         const Measurement probe =
-            runMode(p.program, kModes[kFusedIdx], entry, 1, clean);
-        const uint64_t per_rep = std::max<uint64_t>(1, probe.instret);
+            runMode(p.program, kModes[kThreadedIdx], entry, 1, clean);
+        if (probe.instret <= 1) {
+            ctx.text(exp::strf("%s: skipped (entry halts at once)",
+                               p.name.c_str()));
+            continue;
+        }
+        const uint64_t per_rep = probe.instret;
         const unsigned reps = static_cast<unsigned>(std::min(
             std::max<uint64_t>(target_instr / per_rep, 1), rep_cap));
 
         const std::vector<Measurement> legs = measureMatrix(
             p.program, entry, reps, clean, ctx.run().fast ? 4 : 5);
 
-        // Dispatch must be invisible to the architecture: identical
-        // retirement and cycle counts in every mode.
-        for (size_t m = 1; m < kNumModes; ++m) {
-            rr_assert(legs[m].instret == legs[0].instret &&
-                          legs[m].cycles == legs[0].cycles,
-                      "dispatch-mode divergence in perf program ",
-                      p.name, " (", kModes[m].name, " vs off)");
-        }
+        // The engine must be invisible to the architecture: identical
+        // retirement and cycle counts on both.
+        const Measurement &threaded = legs[kThreadedIdx];
+        rr_assert(threaded.instret == legs[0].instret &&
+                      threaded.cycles == legs[0].cycles,
+                  "engine divergence in perf program ", p.name,
+                  " (threaded vs reference)");
 
-        const Measurement &fused = legs[kFusedIdx];
-        table.addRow({p.name, Table::num(fused.instret / reps),
-                      Table::num(fused.cycles / reps),
+        table.addRow({p.name, Table::num(threaded.instret / reps),
+                      Table::num(threaded.cycles / reps),
                       Table::num(static_cast<uint64_t>(reps))});
 
         ctx.text(exp::strf(
-            "%s: off %.1f, switch %.1f, threaded %.1f, fused %.1f "
-            "Minstr/s (fused %.2fx off)%s",
+            "%s: reference %.1f, threaded %.1f Minstr/s "
+            "(threaded %.2fx reference)%s",
             p.name.c_str(), minstrPerSec(legs[0]),
-            minstrPerSec(legs[1]), minstrPerSec(legs[2]),
-            minstrPerSec(fused),
-            minstrPerSec(fused) / minstrPerSec(legs[0]),
+            minstrPerSec(threaded),
+            minstrPerSec(threaded) / minstrPerSec(legs[0]),
             clean ? "" : " [memory-dirty: full reset per rep]"));
 
         for (size_t m = 0; m < kNumModes; ++m) {
@@ -373,7 +372,7 @@ RR_PERF_FIGURE(perf_interp,
         }
     }
     ctx.table("corpus", "per-repetition architectural counters "
-                        "(identical in every dispatch mode)",
+                        "(identical on both engines)",
               std::move(table));
 
     const auto aggregate = [&ctx](const char *label, const Totals &t) {
@@ -382,11 +381,10 @@ RR_PERF_FIGURE(perf_interp,
         double rate[kNumModes];
         for (size_t m = 0; m < kNumModes; ++m)
             rate[m] = t.instr[m] / std::max(t.secs[m], 1e-9) / 1e6;
-        ctx.text(exp::strf("%s aggregate: off %.1f, switch %.1f, "
-                           "threaded %.1f, fused %.1f Minstr/s "
-                           "(fused %.2fx off)",
-                           label, rate[0], rate[1], rate[2],
-                           rate[3], rate[3] / rate[0]));
+        ctx.text(exp::strf("%s aggregate: reference %.1f, threaded "
+                           "%.1f Minstr/s (threaded %.2fx reference)",
+                           label, rate[0], rate[1],
+                           rate[1] / rate[0]));
     };
     aggregate("examples corpus", examples);
     aggregate("full corpus", all);

@@ -90,7 +90,8 @@ main()
         if (printed < 28) {
             std::printf("  %4lu  rrm=0x%02x  %3u: %s\n",
                         static_cast<unsigned long>(entry.cycle),
-                        entry.rrm, entry.pc, entry.text.c_str());
+                        entry.rrm, entry.pc,
+                        isa::disassemble(entry.inst).c_str());
             ++printed;
         }
     });

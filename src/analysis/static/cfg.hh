@@ -2,8 +2,8 @@
  * @file
  * Control-flow graph construction over an assembled RRISC image.
  *
- * This is the backbone of the Section 2.4 static checking tool: the
- * seed's boundary checker looked at each instruction in isolation,
+ * This is the backbone of the Section 2.4 static checking tool: a
+ * flat boundary check looks at each instruction in isolation,
  * whereas the dataflow analyses (liveness, RRM tracking) need basic
  * blocks with explicit successor edges.
  *

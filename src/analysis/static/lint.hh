@@ -2,9 +2,10 @@
  * @file
  * rrlint — CFG + dataflow static analysis of RRISC images.
  *
- * This is the Section 2.4 tool grown up: where the seed's
- * `checker::checkProgram` did a flat per-instruction operand check
- * against a hand-declared context size, this pass:
+ * This is the Section 2.4 tool grown up: beyond a flat
+ * per-instruction operand check against a declared context size
+ * (LintOptions::declaredContext, what `rrasm --check N` runs), this
+ * pass:
  *
  *  - builds a control-flow graph (cfg.hh);
  *  - runs backward liveness with LDRRM window barriers (liveness.hh)

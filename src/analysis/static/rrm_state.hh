@@ -2,9 +2,9 @@
  * @file
  * Forward abstract interpretation of the register relocation mask.
  *
- * The seed's boundary checker required hand-declared `Region`s saying
- * which context size governs which code. This analysis makes the
- * check flow-sensitive instead: it tracks the RRM through `LDRRM`
+ * A flat boundary check needs hand-declared context sizes saying
+ * which size governs which code. This analysis makes the check
+ * flow-sensitive instead: it tracks the RRM through `LDRRM`
  * (including its delay slots) by propagating constants through the
  * register file, so `li r10, 0x20; ldrrm r10` is understood to open
  * the context window at physical register 0x20.

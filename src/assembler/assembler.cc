@@ -91,6 +91,18 @@ toLower(std::string s)
     return s;
 }
 
+/** @return true when @p value fits @p fmt's immediate field. */
+bool
+immFits(Format fmt, int64_t value)
+{
+    const isa::FormatInfo info = isa::formatInfo(fmt);
+    if (info.immSigned) {
+        const int64_t half = int64_t{1} << (info.immBits - 1);
+        return value >= -half && value < half;
+    }
+    return value >= 0 && value < (int64_t{1} << info.immBits);
+}
+
 bool
 isIdentStart(char c)
 {
@@ -564,18 +576,29 @@ AsmContext::emitPseudo(const Statement &stmt)
             error(line, "cannot resolve '" + ops[1] + "'");
             return;
         }
-        if (*v < 0 || *v >= (int64_t{1} << 30)) {
-            error(line, "li/la value out of 30-bit range");
+        // LUI loads bits 12..29; the low part goes in a signed 12-bit
+        // immediate. Low parts up to 0x7ff are ORed in; larger ones
+        // round the high part up and ADD the (negative) remainder.
+        const int64_t low = *v & 0xfff;
+        const int64_t high = (*v >> 12) + (low >= 0x800 ? 1 : 0);
+        if (*v < 0 || !immFits(Format::UI, high)) {
+            error(line, stmt.head + " value " + std::to_string(*v) +
+                            " does not fit a LUI + ORI/ADDI pair");
             return;
         }
         noteAddressTaken(ops[1]);
-        const auto value = static_cast<uint32_t>(*v);
         emitInst(isa::makeJ(Opcode::LUI, *rd,
-                            static_cast<int32_t>(value >> 12)),
+                            static_cast<int32_t>(high)),
                  line);
-        emitInst(isa::makeI(Opcode::ORI, *rd, *rd,
-                            static_cast<int32_t>(value & 0xfff)),
-                 line);
+        if (low < 0x800) {
+            emitInst(isa::makeI(Opcode::ORI, *rd, *rd,
+                                static_cast<int32_t>(low)),
+                     line);
+        } else {
+            emitInst(isa::makeI(Opcode::ADDI, *rd, *rd,
+                                static_cast<int32_t>(low - 0x1000)),
+                     line);
+        }
         return;
     }
 
@@ -590,6 +613,12 @@ AsmContext::emitPseudo(const Statement &stmt)
             return;
         }
         const int64_t offset = *v - static_cast<int64_t>(cursor_);
+        if (!immFits(Format::B, offset)) {
+            error(line, "branch offset " + std::to_string(offset) +
+                            " does not fit the signed 12-bit field "
+                            "of b");
+            return;
+        }
         emitInst(isa::makeB(Opcode::BEQ, 0, 0,
                             static_cast<int32_t>(offset)),
                  line);
@@ -634,6 +663,19 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
         }
         out = *v;
         return true;
+    };
+    // Diagnose an immediate that does not fit the field here, before
+    // isa::encode would assert on it.
+    auto fits = [&](int64_t value, const char *what) {
+        if (immFits(fmt, value))
+            return true;
+        const isa::FormatInfo info = isa::formatInfo(fmt);
+        std::ostringstream os;
+        os << what << ' ' << value << " does not fit the "
+           << (info.immSigned ? "signed " : "unsigned ")
+           << info.immBits << "-bit field of " << stmt.head;
+        error(line, os.str());
+        return false;
     };
 
     Instruction inst;
@@ -710,7 +752,8 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
                 ops[1].substr(open + 1, close - open - 1);
             unsigned rs1;
             int64_t imm;
-            if (!get_reg(reg_text, rs1) || !get_value(imm_text, imm))
+            if (!get_reg(reg_text, rs1) || !get_value(imm_text, imm) ||
+                !fits(imm, "offset"))
                 return;
             inst = isa::makeI(op, rd, rs1,
                               static_cast<int32_t>(imm));
@@ -728,7 +771,7 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
         unsigned rd, rs1;
         int64_t imm;
         if (!get_reg(ops[0], rd) || !get_reg(ops[1], rs1) ||
-            !get_value(ops[2], imm)) {
+            !get_value(ops[2], imm) || !fits(imm, "immediate")) {
             return;
         }
         inst = isa::makeI(op, rd, rs1, static_cast<int32_t>(imm));
@@ -753,6 +796,8 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
             offset = target;
         else
             offset = target - static_cast<int64_t>(cursor_);
+        if (!fits(offset, "branch offset"))
+            return;
         inst = isa::makeB(op, rs1, rs2, static_cast<int32_t>(offset));
         break;
       }
@@ -769,6 +814,8 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
             offset = target;
         else
             offset = target - static_cast<int64_t>(cursor_);
+        if (!fits(offset, "jump offset"))
+            return;
         inst = isa::makeJ(op, rd, static_cast<int32_t>(offset));
         break;
       }
@@ -778,7 +825,8 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
             return;
         unsigned rd;
         int64_t imm;
-        if (!get_reg(ops[0], rd) || !get_value(ops[1], imm))
+        if (!get_reg(ops[0], rd) || !get_value(ops[1], imm) ||
+            !fits(imm, "immediate"))
             return;
         inst = isa::makeJ(op, rd, static_cast<int32_t>(imm));
         break;
@@ -788,7 +836,7 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
         if (!need(1))
             return;
         int64_t imm;
-        if (!get_value(ops[0], imm))
+        if (!get_value(ops[0], imm) || !fits(imm, "immediate"))
             return;
         inst.imm = static_cast<int32_t>(imm);
         break;
@@ -799,7 +847,8 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
             return;
         unsigned rs1;
         int64_t imm;
-        if (!get_reg(ops[0], rs1) || !get_value(ops[1], imm))
+        if (!get_reg(ops[0], rs1) || !get_value(ops[1], imm) ||
+            !fits(imm, "immediate"))
             return;
         inst.rs1 = static_cast<uint8_t>(rs1);
         inst.imm = static_cast<int32_t>(imm);

@@ -512,7 +512,7 @@ struct ProgGen
     {
         // Store into the code region; half the time store the zero
         // register (word 0 == NOP, so execution continues through a
-        // *changed but valid* instruction — the predecode cache's
+        // *changed but valid* instruction — the superblock cache's
         // hardest case), otherwise store arbitrary register garbage.
         const auto target =
             static_cast<int32_t>(rng.nextRange(0, 60));

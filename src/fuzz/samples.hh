@@ -16,8 +16,8 @@
  *   json     exp:: JSON writer/parser round-trip properties
  *   num      strict CLI numeric parsing vs its documented grammar
  *   phase    sequence-indexed fault draws actually advance phases
- *   program  machine::Cpu predecode on vs off, plus rrlint claims
- *            vs registers actually touched at runtime
+ *   program  machine::Cpu reference vs threaded engine, plus rrlint
+ *            claims vs registers actually touched at runtime
  *   mt       SimulationSpec runs audited by TraceAuditor, replayed
  *            for determinism
  *   xsim     machine-MT kernel cycle accounting vs the rr::mt model
@@ -174,12 +174,12 @@ struct PhaseSample
 };
 
 // ---------------------------------------------------------------------
-// program: predecode differential + runtime-vs-lint
+// program: engine differential + runtime-vs-lint
 
 /**
  * A generated RRISC image (base 0) plus the machine geometry to run
- * it under. Oracles: (1) predecode on vs off must produce
- * byte-identical traces and final architectural state; (2)
+ * it under. Oracles: (1) the reference and threaded engines must
+ * produce byte-identical traces and final architectural state; (2)
  * relocate() vs table() on every operand at every observed mask;
  * (3) when `lintChecked`, rrlint's flow-sensitive window claims must
  * cover every register the program actually touches at runtime.

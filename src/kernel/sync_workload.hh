@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -88,8 +87,8 @@ struct SyncWorkloadConfig
     /** Step cap (safety against runaway programs). */
     uint64_t maxSteps = 50'000'000;
 
-    /** Dispatch override; unset = CpuConfig/RR_CPU_DISPATCH default. */
-    std::optional<machine::DispatchMode> dispatch;
+    /** Engine for Cpu::run (CpuConfig::predecode). */
+    bool predecode = machine::defaultPredecode();
 
     /** Optional structured-event sink (not owned). */
     trace::TraceSink *traceSink = nullptr;

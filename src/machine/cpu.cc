@@ -42,37 +42,6 @@ defaultPredecode()
     return value;
 }
 
-DispatchMode
-defaultDispatch()
-{
-    static const DispatchMode value = [] {
-        const char *env = std::getenv("RR_CPU_DISPATCH");
-        if (env != nullptr) {
-            const std::string_view v(env);
-            if (v == "switch")
-                return DispatchMode::Switch;
-            if (v == "threaded")
-                return DispatchMode::Threaded;
-        }
-        return DispatchMode::Fused;
-    }();
-    return value;
-}
-
-const char *
-dispatchModeName(DispatchMode mode)
-{
-    switch (mode) {
-      case DispatchMode::Switch:
-        return "switch";
-      case DispatchMode::Threaded:
-        return "threaded";
-      case DispatchMode::Fused:
-        return "fused";
-    }
-    return "unknown";
-}
-
 Cpu::Cpu(const CpuConfig &config)
     : config_(config),
       regs_(config.numRegs),
@@ -85,15 +54,10 @@ Cpu::Cpu(const CpuConfig &config)
       regsData_(regs_.data()),
       memWords_(config.memWords),
       timingEnabled_(config.timing.enabled()),
-      relocTableSize_(relocation_.tableSize()),
-      dispatchActive_(predecode_ &&
-                      config.dispatch != DispatchMode::Switch)
+      relocTableSize_(relocation_.tableSize())
 {
     if (predecode_) {
-        icache_.resize(config.memWords);
         refreshRelocTable();
-    }
-    if (dispatchActive_) {
         blockIndex_.assign(config.memWords, -1);
         blockCover_.assign(config.memWords, 0);
         blocks_.reserve(64);
@@ -144,10 +108,10 @@ Cpu::writeOperand(unsigned operand, uint32_t value)
     }
 }
 
-// Out-of-line trap construction keeps readOperandFast/writeOperandFast
-// small enough to inline into the executeImpl dispatch — the EH setup
-// code otherwise pushes them past the inlining threshold and every ALU
-// operand costs a real call.
+// Out-of-line trap construction and hazard recording keep the
+// threaded engine's operand lambdas small enough to inline into every
+// handler — the EH setup code otherwise pushes them past the inlining
+// threshold and every ALU operand costs a real call.
 [[noreturn, gnu::noinline]] void
 Cpu::throwTrap(TrapKind kind)
 {
@@ -161,34 +125,6 @@ Cpu::recordOperandRead(unsigned physical) const
               "instruction performs more than ", kMaxOperandReads,
               " register reads; widen Cpu::stepReads_");
     stepReads_[stepReadCount_++] = physical;
-}
-
-inline uint32_t
-Cpu::readOperandFast(unsigned operand) const
-{
-    if (operand >= relocTableSize_) [[unlikely]]
-        throwTrap(TrapKind::OperandTooWide);
-    const RelocationResult &result = relocTable_[operand];
-    if (!result.ok) [[unlikely]]
-        throwTrap(TrapKind::ContextBounds);
-    if (timingEnabled_)
-        recordOperandRead(result.physical);
-    return regsData_[result.physical];
-}
-
-inline void
-Cpu::writeOperandFast(unsigned operand, uint32_t value)
-{
-    if (operand >= relocTableSize_) [[unlikely]]
-        throwTrap(TrapKind::OperandTooWide);
-    const RelocationResult &result = relocTable_[operand];
-    if (!result.ok) [[unlikely]]
-        throwTrap(TrapKind::ContextBounds);
-    regsData_[result.physical] = value;
-    if (timingEnabled_) {
-        stepWrote_ = true;
-        stepWrotePhys_ = result.physical;
-    }
 }
 
 uint32_t
@@ -212,12 +148,6 @@ Cpu::writeContextReg(unsigned context_reg, uint32_t value)
 bool
 Cpu::step()
 {
-    return predecode_ ? stepFast() : stepSlow();
-}
-
-bool
-Cpu::stepSlow()
-{
     if (halted_ || trap_ != TrapKind::None)
         return false;
 
@@ -236,17 +166,15 @@ Cpu::stepSlow()
         return false;
     }
 
-    if (traceHook_) {
-        traceHook_(TraceEntry{cycles_, pc_, inst, relocation_.mask(0),
-                              isa::disassemble(inst)});
-    }
+    if (traceHook_)
+        traceHook_(TraceEntry{cycles_, pc_, inst, relocation_.mask(0)});
 
     const uint32_t pc_before = pc_;
     stepReadCount_ = 0;
     stepWrote_ = false;
 
     try {
-        executeImpl<false>(inst);
+        execute(inst);
     } catch (const TrapSignal &signal) {
         trap_ = signal.kind;
         return false;
@@ -256,71 +184,6 @@ Cpu::stepSlow()
     ++instret_;
 
     if (config_.timing.enabled())
-        applyTiming(inst, pc_before);
-
-    return trap_ == TrapKind::None && !halted_;
-}
-
-bool
-Cpu::stepFast()
-{
-    if (halted_ || trap_ != TrapKind::None)
-        return false;
-
-    advancePendingRrm();
-
-    if (pc_ >= memWords_) {
-        trap_ = TrapKind::MemOutOfRange;
-        return false;
-    }
-
-    // The tag compare against the live memory word makes the entry
-    // self-invalidating: stores through any path (simulated ST, host
-    // writes via mem()) change the word, miss the tag, and force a
-    // re-decode. Undecodable words are never cached; execution stops
-    // on them anyway.
-    const uint32_t word = memData_[pc_];
-    ICacheEntry &entry = icache_[pc_];
-    if (!entry.valid || entry.word != word) {
-        Instruction inst;
-        if (!isa::decode(word, inst)) {
-            trap_ = TrapKind::InvalidOpcode;
-            return false;
-        }
-        entry.word = word;
-        entry.inst = inst;
-        entry.valid = true;
-    }
-    const Instruction inst = entry.inst;
-
-    // Relocation fast path: the operand->physical table is rebuilt
-    // only when a mask or the context size changed (LDRRM retirement,
-    // bank switches, host pokes) — never per operand.
-    if (relocEpoch_ != relocation_.epoch())
-        refreshRelocTable();
-
-    if (traceHook_) {
-        traceHook_(TraceEntry{cycles_, pc_, inst, relocation_.mask(0),
-                              isa::disassemble(inst)});
-    }
-
-    const uint32_t pc_before = pc_;
-    if (timingEnabled_) {
-        stepReadCount_ = 0;
-        stepWrote_ = false;
-    }
-
-    try {
-        executeImpl<true>(inst);
-    } catch (const TrapSignal &signal) {
-        trap_ = signal.kind;
-        return false;
-    }
-
-    ++cycles_;
-    ++instret_;
-
-    if (timingEnabled_)
         applyTiming(inst, pc_before);
 
     return trap_ == TrapKind::None && !halted_;
@@ -365,7 +228,7 @@ Cpu::applyTiming(const Instruction &inst, uint32_t pc_before)
 uint64_t
 Cpu::run(uint64_t max_steps)
 {
-    if (dispatchActive_)
+    if (predecode_)
         return runBlocks(max_steps);
     uint64_t executed = 0;
     while (executed < max_steps) {
@@ -385,52 +248,22 @@ Cpu::resume()
     trap_ = TrapKind::None;
 }
 
-template <bool Fast>
 void
-Cpu::executeImpl(const Instruction &inst)
+Cpu::execute(const Instruction &inst)
 {
     uint32_t next = pc_ + 1;
 
-    auto read_op = [&](unsigned operand) {
-        if constexpr (Fast)
-            return readOperandFast(operand);
-        else
-            return readOperand(operand);
-    };
-    auto write_op = [&](unsigned operand, uint32_t value) {
-        if constexpr (Fast)
-            writeOperandFast(operand, value);
-        else
-            writeOperand(operand, value);
-    };
     auto mem_read = [&](uint64_t addr) -> uint32_t {
-        if constexpr (Fast) {
-            if (addr >= memWords_)
-                throw TrapSignal{TrapKind::MemOutOfRange};
-            return memData_[addr];
-        } else {
-            if (!mem_.inRange(addr))
-                throw TrapSignal{TrapKind::MemOutOfRange};
-            return mem_.read(addr);
-        }
+        if (!mem_.inRange(addr))
+            throw TrapSignal{TrapKind::MemOutOfRange};
+        return mem_.read(addr);
     };
+    // Stores go through Memory's public API, whose write journal is
+    // how the threaded engine notices code changed under its blocks.
     auto mem_write = [&](uint64_t addr, uint32_t value) {
-        if constexpr (Fast) {
-            if (addr >= memWords_)
-                throw TrapSignal{TrapKind::MemOutOfRange};
-            memData_[addr] = value;
-            // Store invalidation: drop any predecode of the stored
-            // word (self-modifying code), and mark the superblock
-            // cache stale when the store hit a word some block
-            // decoded.
-            icache_[addr].valid = false;
-            if (dispatchActive_ && blockCover_[addr] != 0)
-                blocksStale_ = true;
-        } else {
-            if (!mem_.inRange(addr))
-                throw TrapSignal{TrapKind::MemOutOfRange};
-            mem_.write(addr, value);
-        }
+        if (!mem_.inRange(addr))
+            throw TrapSignal{TrapKind::MemOutOfRange};
+        mem_.write(addr, value);
     };
 
     switch (inst.op) {
@@ -441,145 +274,145 @@ Cpu::executeImpl(const Instruction &inst)
         break;
 
       case Opcode::ADD:
-        write_op(inst.rd, read_op(inst.rs1) + read_op(inst.rs2));
+        writeOperand(inst.rd, readOperand(inst.rs1) + readOperand(inst.rs2));
         break;
       case Opcode::SUB:
-        write_op(inst.rd, read_op(inst.rs1) - read_op(inst.rs2));
+        writeOperand(inst.rd, readOperand(inst.rs1) - readOperand(inst.rs2));
         break;
       case Opcode::AND:
-        write_op(inst.rd, read_op(inst.rs1) & read_op(inst.rs2));
+        writeOperand(inst.rd, readOperand(inst.rs1) & readOperand(inst.rs2));
         break;
       case Opcode::OR:
-        write_op(inst.rd, read_op(inst.rs1) | read_op(inst.rs2));
+        writeOperand(inst.rd, readOperand(inst.rs1) | readOperand(inst.rs2));
         break;
       case Opcode::XOR:
-        write_op(inst.rd, read_op(inst.rs1) ^ read_op(inst.rs2));
+        writeOperand(inst.rd, readOperand(inst.rs1) ^ readOperand(inst.rs2));
         break;
       case Opcode::SLL:
-        write_op(inst.rd, read_op(inst.rs1)
-                              << (read_op(inst.rs2) & 31));
+        writeOperand(inst.rd, readOperand(inst.rs1)
+                                  << (readOperand(inst.rs2) & 31));
         break;
       case Opcode::SRL:
-        write_op(inst.rd, read_op(inst.rs1) >>
-                              (read_op(inst.rs2) & 31));
+        writeOperand(inst.rd, readOperand(inst.rs1) >>
+                                  (readOperand(inst.rs2) & 31));
         break;
       case Opcode::SRA:
-        write_op(inst.rd,
-                 static_cast<uint32_t>(
-                     static_cast<int32_t>(read_op(inst.rs1)) >>
-                     (read_op(inst.rs2) & 31)));
+        writeOperand(inst.rd,
+                     static_cast<uint32_t>(
+                         static_cast<int32_t>(readOperand(inst.rs1)) >>
+                         (readOperand(inst.rs2) & 31)));
         break;
       case Opcode::SLT:
-        write_op(inst.rd,
-                 static_cast<int32_t>(read_op(inst.rs1)) <
-                         static_cast<int32_t>(read_op(inst.rs2))
-                     ? 1
-                     : 0);
+        writeOperand(inst.rd,
+                     static_cast<int32_t>(readOperand(inst.rs1)) <
+                             static_cast<int32_t>(readOperand(inst.rs2))
+                         ? 1
+                         : 0);
         break;
       case Opcode::SLTU:
-        write_op(inst.rd,
-                 read_op(inst.rs1) < read_op(inst.rs2) ? 1 : 0);
+        writeOperand(inst.rd,
+                     readOperand(inst.rs1) < readOperand(inst.rs2) ? 1 : 0);
         break;
 
       case Opcode::ADDI:
-        write_op(inst.rd,
-                 read_op(inst.rs1) + static_cast<uint32_t>(inst.imm));
+        writeOperand(inst.rd,
+                     readOperand(inst.rs1) + static_cast<uint32_t>(inst.imm));
         break;
       case Opcode::ANDI:
-        write_op(inst.rd,
-                 read_op(inst.rs1) & static_cast<uint32_t>(inst.imm));
+        writeOperand(inst.rd,
+                     readOperand(inst.rs1) & static_cast<uint32_t>(inst.imm));
         break;
       case Opcode::ORI:
-        write_op(inst.rd,
-                 read_op(inst.rs1) | static_cast<uint32_t>(inst.imm));
+        writeOperand(inst.rd,
+                     readOperand(inst.rs1) | static_cast<uint32_t>(inst.imm));
         break;
       case Opcode::XORI:
-        write_op(inst.rd,
-                 read_op(inst.rs1) ^ static_cast<uint32_t>(inst.imm));
+        writeOperand(inst.rd,
+                     readOperand(inst.rs1) ^ static_cast<uint32_t>(inst.imm));
         break;
       case Opcode::SLTI:
-        write_op(inst.rd,
-                 static_cast<int32_t>(read_op(inst.rs1)) < inst.imm
-                     ? 1
-                     : 0);
+        writeOperand(inst.rd,
+                     static_cast<int32_t>(readOperand(inst.rs1)) < inst.imm
+                         ? 1
+                         : 0);
         break;
       case Opcode::SLLI:
-        write_op(inst.rd, read_op(inst.rs1)
-                              << (static_cast<uint32_t>(inst.imm) &
-                                  31));
+        writeOperand(inst.rd, readOperand(inst.rs1)
+                                  << (static_cast<uint32_t>(inst.imm) &
+                                      31));
         break;
       case Opcode::SRLI:
-        write_op(inst.rd, read_op(inst.rs1) >>
-                              (static_cast<uint32_t>(inst.imm) & 31));
+        writeOperand(inst.rd, readOperand(inst.rs1) >>
+                                  (static_cast<uint32_t>(inst.imm) & 31));
         break;
       case Opcode::SRAI:
-        write_op(inst.rd,
-                 static_cast<uint32_t>(
-                     static_cast<int32_t>(read_op(inst.rs1)) >>
-                     (static_cast<uint32_t>(inst.imm) & 31)));
+        writeOperand(inst.rd,
+                     static_cast<uint32_t>(
+                         static_cast<int32_t>(readOperand(inst.rs1)) >>
+                         (static_cast<uint32_t>(inst.imm) & 31)));
         break;
 
       case Opcode::LUI:
-        write_op(inst.rd, static_cast<uint32_t>(inst.imm) << 12);
+        writeOperand(inst.rd, static_cast<uint32_t>(inst.imm) << 12);
         break;
 
       case Opcode::LD: {
         const uint64_t addr =
-            read_op(inst.rs1) + static_cast<uint32_t>(inst.imm);
-        write_op(inst.rd, mem_read(addr));
+            readOperand(inst.rs1) + static_cast<uint32_t>(inst.imm);
+        writeOperand(inst.rd, mem_read(addr));
         break;
       }
       case Opcode::ST: {
         const uint64_t addr =
-            read_op(inst.rs1) + static_cast<uint32_t>(inst.imm);
-        mem_write(addr, read_op(inst.rd));
+            readOperand(inst.rs1) + static_cast<uint32_t>(inst.imm);
+        mem_write(addr, readOperand(inst.rd));
         break;
       }
 
       case Opcode::BEQ:
-        if (read_op(inst.rs1) == read_op(inst.rs2))
+        if (readOperand(inst.rs1) == readOperand(inst.rs2))
             next = pc_ + static_cast<uint32_t>(inst.imm);
         break;
       case Opcode::BNE:
-        if (read_op(inst.rs1) != read_op(inst.rs2))
+        if (readOperand(inst.rs1) != readOperand(inst.rs2))
             next = pc_ + static_cast<uint32_t>(inst.imm);
         break;
       case Opcode::BLT:
-        if (static_cast<int32_t>(read_op(inst.rs1)) <
-            static_cast<int32_t>(read_op(inst.rs2))) {
+        if (static_cast<int32_t>(readOperand(inst.rs1)) <
+            static_cast<int32_t>(readOperand(inst.rs2))) {
             next = pc_ + static_cast<uint32_t>(inst.imm);
         }
         break;
       case Opcode::BGE:
-        if (static_cast<int32_t>(read_op(inst.rs1)) >=
-            static_cast<int32_t>(read_op(inst.rs2))) {
+        if (static_cast<int32_t>(readOperand(inst.rs1)) >=
+            static_cast<int32_t>(readOperand(inst.rs2))) {
             next = pc_ + static_cast<uint32_t>(inst.imm);
         }
         break;
 
       case Opcode::JAL:
-        write_op(inst.rd, pc_ + 1);
+        writeOperand(inst.rd, pc_ + 1);
         next = pc_ + static_cast<uint32_t>(inst.imm);
         break;
       case Opcode::JALR: {
         const uint32_t target =
-            read_op(inst.rs1) + static_cast<uint32_t>(inst.imm);
-        write_op(inst.rd, pc_ + 1);
+            readOperand(inst.rs1) + static_cast<uint32_t>(inst.imm);
+        writeOperand(inst.rd, pc_ + 1);
         next = target;
         break;
       }
       case Opcode::JMP:
-        next = read_op(inst.rs1);
+        next = readOperand(inst.rs1);
         break;
 
       case Opcode::LDRRM:
-        rrmPendingValue_ = read_op(inst.rs1);
+        rrmPendingValue_ = readOperand(inst.rs1);
         rrmPendingBank_ = 0;
         rrmPendingRemaining_ = config_.ldrrmDelaySlots + 1;
         rrmPending_ = true;
         break;
       case Opcode::RDRRM:
-        write_op(inst.rd, relocation_.mask(0));
+        writeOperand(inst.rd, relocation_.mask(0));
         break;
       case Opcode::LDRRMX: {
         const auto bank = static_cast<unsigned>(inst.imm);
@@ -587,7 +420,7 @@ Cpu::executeImpl(const Instruction &inst)
             throw TrapSignal{TrapKind::InvalidOpcode};
         // Extension masks are loaded without delay slots for
         // simplicity; bank 0 keeps the architected delay behaviour.
-        const uint32_t value = read_op(inst.rs1);
+        const uint32_t value = readOperand(inst.rs1);
         if (bank == 0) {
             rrmPendingValue_ = value;
             rrmPendingBank_ = 0;
@@ -600,15 +433,15 @@ Cpu::executeImpl(const Instruction &inst)
       }
 
       case Opcode::MFPSW:
-        write_op(inst.rd, psw_);
+        writeOperand(inst.rd, psw_);
         break;
       case Opcode::MTPSW:
-        psw_ = read_op(inst.rs1);
+        psw_ = readOperand(inst.rs1);
         break;
 
       case Opcode::FF1: {
-        const int bit = findFirstSet(read_op(inst.rs1));
-        write_op(inst.rd, static_cast<uint32_t>(bit));
+        const int bit = findFirstSet(readOperand(inst.rs1));
+        writeOperand(inst.rd, static_cast<uint32_t>(bit));
         break;
       }
 
@@ -626,9 +459,6 @@ Cpu::executeImpl(const Instruction &inst)
 
     pc_ = next;
 }
-
-template void Cpu::executeImpl<false>(const Instruction &inst);
-template void Cpu::executeImpl<true>(const Instruction &inst);
 
 // ---------------------------------------------------------------------
 // Checkpointing (rr.ckpt.v1)
@@ -779,12 +609,6 @@ Cpu::restoreState(const ckpt::Reader &reader)
 
     for (unsigned i = 0; i < regs_.size(); ++i)
         regs_.write(i, regs[i]);
-    // Writing through mem_ (not memData_) keeps the predecode
-    // self-invalidation contract explicit: restored words that differ
-    // from the current contents make any stale icache entry fail its
-    // raw-word tag compare on next fetch. Entries whose word happens
-    // to match remain valid, which is safe because decode is a pure
-    // function of the word.
     for (size_t i = 0; i < mem_.size(); ++i)
         mem_.write(i, mem[i]);
     relocation_.restoreMasks(masks,
@@ -822,9 +646,8 @@ Cpu::restoreState(const ckpt::Reader &reader)
     // Never trust pre-restore memoization: re-fetch the relocation
     // table from the (just re-validated) unit, and rebuild superblocks
     // from scratch — they are derived state, never serialized.
-    if (predecode_)
+    if (predecode_) {
         refreshRelocTable();
-    if (dispatchActive_) {
         flushBlocks();
         mem_.clearWriteLog();
         memVersionSeen_ = mem_.version();

@@ -50,42 +50,9 @@ const char *trapName(TrapKind kind);
 /**
  * Default for CpuConfig::predecode: true unless the environment
  * variable RR_CPU_PREDECODE is set to "0". Read once per process, so
- * tests can run the same binary in both modes.
+ * tests can run the same binary on both engines.
  */
 bool defaultPredecode();
-
-/**
- * How Cpu::run dispatches predecoded instructions. All three modes
- * are architecturally identical — traces, stats, and checkpoints are
- * byte-for-byte the same; only wall-clock speed changes (docs/PERF.md
- * has the matrix and the invalidation rules).
- */
-enum class DispatchMode : uint8_t
-{
-    /** Per-instruction switch over the predecoded side table (PR 4). */
-    Switch,
-    /**
-     * Token-threaded dispatch over cached superblocks: straight-line
-     * runs execute decoded descriptors back-to-back with one validity
-     * check per block instead of per-instruction tag compares.
-     */
-    Threaded,
-    /**
-     * Threaded, plus the dominant macro-op pairs (cmp+branch,
-     * load+use) fused into single descriptors at block-build time.
-     */
-    Fused,
-};
-
-/**
- * Default for CpuConfig::dispatch: DispatchMode::Fused unless the
- * environment variable RR_CPU_DISPATCH is "switch" or "threaded".
- * Read once per process, like RR_CPU_PREDECODE.
- */
-DispatchMode defaultDispatch();
-
-/** @return a printable name for @p mode ("switch", "threaded", ...). */
-const char *dispatchModeName(DispatchMode mode);
 
 /** Static machine configuration. */
 struct CpuConfig
@@ -116,24 +83,14 @@ struct CpuConfig
     PipelineTimingConfig timing;
 
     /**
-     * Use the predecoded instruction cache: each memory word is
-     * decoded once into a side table validated by raw-word tag and
-     * invalidated on stores, so step() skips isa::decode and the
-     * per-operand relocation arithmetic on the hot path. Architectural
-     * behaviour (registers, memory, traps, cycles, instret, timing
-     * stats, traces) is identical with the cache on or off; only
-     * wall-clock speed changes. Defaults from RR_CPU_PREDECODE.
+     * Engine for run(): true selects threaded superblock dispatch
+     * (cpu_dispatch.cc), false the uncached reference interpreter
+     * that step() always uses. Architectural behaviour (registers,
+     * memory, traps, cycles, instret, timing stats, traces) is
+     * identical on both; only wall-clock speed changes. Defaults from
+     * RR_CPU_PREDECODE.
      */
     bool predecode = defaultPredecode();
-
-    /**
-     * run() dispatch strategy over the predecoded stream. Behaviour-
-     * neutral like the predecode switch itself: Threaded/Fused engage
-     * only when the predecode cache is active, and single-stepping via
-     * step() always uses the per-instruction path. Defaults from
-     * RR_CPU_DISPATCH.
-     */
-    DispatchMode dispatch = defaultDispatch();
 };
 
 /** One line of execution trace. */
@@ -143,7 +100,6 @@ struct TraceEntry
     uint32_t pc;          ///< word address of the instruction
     isa::Instruction inst; ///< decoded (pre-relocation) instruction
     uint32_t rrm;          ///< active RRM (bank 0) during decode
-    std::string text;      ///< disassembly
 };
 
 /** The RRISC processor. */
@@ -194,13 +150,15 @@ class Cpu : public ckpt::Restorable
     // ---- execution ------------------------------------------------------
 
     /**
-     * Execute one instruction.
+     * Execute one instruction on the uncached reference interpreter
+     * (decode, relocate, execute), whatever CpuConfig::predecode says.
      * @return false when the CPU is halted or trapped.
      */
     bool step();
 
     /**
-     * Run until HALT, a trap, or @p max_steps instructions.
+     * Run until HALT, a trap, or @p max_steps instructions: threaded
+     * superblocks when predecodeActive(), else step() in a loop.
      * @return number of instructions executed.
      */
     uint64_t run(uint64_t max_steps);
@@ -238,20 +196,14 @@ class Cpu : public ckpt::Restorable
     uint64_t faultCount() const { return faultCount_; }
 
     /**
-     * True when the predecoded instruction cache is in use (config
-     * requested it and the memory is small enough to shadow).
+     * True when run() uses threaded superblock dispatch (config
+     * requested it and the memory is small enough to index).
      */
     bool predecodeActive() const { return predecode_; }
 
     /**
-     * True when run() uses threaded superblock dispatch (predecode is
-     * active and the configured mode is Threaded or Fused).
-     */
-    bool dispatchActive() const { return dispatchActive_; }
-
-    /**
-     * Memories larger than this are not shadowed (the side table costs
-     * 16 bytes/word); such CPUs fall back to the decode-per-step path.
+     * Memories larger than this get no block index (it costs 6
+     * bytes/word); such CPUs run() on the reference interpreter.
      */
     static constexpr size_t kPredecodeMaxWords = size_t{1} << 22;
 
@@ -279,8 +231,9 @@ class Cpu : public ckpt::Restorable
     /**
      * Configuration fingerprint for rr.ckpt.v1 meta checking. Covers
      * everything that affects execution (geometry, relocation mode,
-     * delay slots, timing penalties) but not the predecode switch,
-     * which is behaviour-neutral by construction.
+     * delay slots, timing penalties) but not the engine choice
+     * (CpuConfig::predecode), which is behaviour-neutral by
+     * construction.
      */
     std::string fingerprint() const;
 
@@ -288,8 +241,8 @@ class Cpu : public ckpt::Restorable
      * Save the complete architectural and timing state: registers,
      * memory, relocation masks, PC/PSW/trap, pending LDRRM delay
      * slots, cycle and stall counters, and the cross-step hazard
-     * window. The predecode cache is derived state (entries
-     * self-validate against memory words) and is never serialized.
+     * window. The superblock cache is derived state and is never
+     * serialized.
      */
     void saveState(ckpt::Writer &writer) const override;
 
@@ -311,20 +264,6 @@ class Cpu : public ckpt::Restorable
     };
 
     /**
-     * One predecoded instruction. @c word is the raw memory word the
-     * entry was decoded from: a mismatch against current memory (a
-     * store through any path, including host writes via mem()) makes
-     * the entry self-invalidating, so the cache can never execute a
-     * stale decode.
-     */
-    struct ICacheEntry
-    {
-        uint32_t word = 0;
-        bool valid = false;
-        isa::Instruction inst{};
-    };
-
-    /**
      * Most register reads any instruction performs. Audit over
      * isa::FormatInfo: R3 and B read rs1+rs2, ST (Format::I with a
      * source rd) reads rs1+rd, every other format reads at most one
@@ -339,11 +278,9 @@ class Cpu : public ckpt::Restorable
     uint32_t readOperand(unsigned operand) const;
     void writeOperand(unsigned operand, uint32_t value);
 
-    /** Table-driven operand access for the predecode fast path. */
+    /** Out-of-line helpers for the threaded engine's operand access. */
     [[noreturn]] static void throwTrap(TrapKind kind);
     void recordOperandRead(unsigned physical) const;
-    uint32_t readOperandFast(unsigned operand) const;
-    void writeOperandFast(unsigned operand, uint32_t value);
 
     /**
      * Re-cache the relocation table after a mask/context change.
@@ -360,33 +297,29 @@ class Cpu : public ckpt::Restorable
         relocEpoch_ = relocation_.epoch();
     }
 
-    bool stepSlow();
-    bool stepFast();
-
-    template <bool Fast>
-    void executeImpl(const isa::Instruction &inst);
+    /** Reference semantics of one decoded instruction. */
+    void execute(const isa::Instruction &inst);
 
     // ---- threaded superblock dispatch (cpu_dispatch.cc) -----------------
 
     /**
      * One token-threaded descriptor. @c token selects the handler
-     * (opcode tokens mirror isa::Opcode values; fused tokens follow).
-     * @c a and @c b hold the decoded constituent instructions
-     * verbatim, so trace reconstruction and timing charges in careful
-     * mode are exact; @c b is used by fused tokens only.
+     * (opcode tokens mirror isa::Opcode values; the end-of-block
+     * sentinel follows). @c a holds the decoded instruction verbatim,
+     * so trace reconstruction and timing charges in careful mode are
+     * exact.
      */
     struct MicroOp
     {
         uint16_t token = 0;
         uint32_t pc = 0;
         isa::Instruction a{};
-        isa::Instruction b{};
     };
 
     /**
      * A decoded run of instructions starting at @c entry and covering
-     * @c words memory words. Derived state: built from the predecode
-     * cache, invalidated whenever a covered word changes (simulated
+     * @c words memory words. Derived state: decoded straight from
+     * memory, invalidated whenever a covered word changes (simulated
      * stores, host writes, restores), and never serialized.
      *
      * @c raw snapshots the covered memory words at build time and
@@ -428,7 +361,7 @@ class Cpu : public ckpt::Restorable
      */
     void syncHostWrites();
 
-    /** run() loop over cached superblocks (dispatchActive_ only). */
+    /** run() loop over cached superblocks (predecode_ only). */
     uint64_t runBlocks(uint64_t max_steps);
 
     /**
@@ -464,11 +397,9 @@ class Cpu : public ckpt::Restorable
     Memory mem_;
     RelocationUnit relocation_;
 
-    // Predecode fast path: instruction side table plus cached raw
-    // pointers (Memory and RegisterFile never reallocate) and the
-    // epoch-validated relocation table.
+    // Threaded engine: cached raw pointers (Memory and RegisterFile
+    // never reallocate) and the epoch-validated relocation table.
     bool predecode_ = false;
-    std::vector<ICacheEntry> icache_;
     uint32_t *memData_ = nullptr;
     uint32_t *regsData_ = nullptr;
     uint64_t memWords_ = 0;
@@ -477,12 +408,11 @@ class Cpu : public ckpt::Restorable
     unsigned relocTableSize_ = 0;
     uint64_t relocEpoch_ = 0;
 
-    // Superblock cache (threaded dispatch). blockIndex_ maps an entry
-    // pc to its block (-1 = none); blockCover_ counts, per word, how
-    // many blocks decoded that word, so stores can detect in O(1)
-    // whether they clobbered cached code. blocksStale_ defers the
-    // actual flush to the next outer-loop iteration.
-    bool dispatchActive_ = false;
+    // Superblock cache. blockIndex_ maps an entry pc to its block
+    // (-1 = none); blockCover_ counts, per word, how many blocks
+    // decoded that word, so stores can detect in O(1) whether they
+    // clobbered cached code. blocksStale_ defers the actual flush to
+    // the next outer-loop iteration.
     std::vector<SuperBlock> blocks_;
     std::vector<int32_t> blockIndex_;
     std::vector<uint16_t> blockCover_;

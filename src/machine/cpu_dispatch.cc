@@ -2,15 +2,17 @@
  * @file
  * Token-threaded superblock dispatch for the RRISC interpreter.
  *
- * Cpu::run in Threaded/Fused mode executes cached *superblocks*: runs
- * of predecoded instructions keyed by entry PC, decoded once from the
- * per-word predecode cache and then executed descriptor-to-descriptor
- * with computed-goto dispatch (a portable switch fallback covers
- * non-GNU compilers). A straight-line run pays one validity check per
- * block instead of a raw-word tag compare, a decode-hook check, and a
- * relocation-epoch check per instruction.
+ * Cpu::run with CpuConfig::predecode executes cached *superblocks*:
+ * runs of decoded instructions keyed by entry PC, decoded once from
+ * memory and then executed descriptor-to-descriptor with computed-goto
+ * dispatch (a portable switch fallback covers non-GNU compilers). A
+ * straight-line run pays one validity check per block instead of a
+ * fetch, a decode, and a relocation per instruction. The handlers
+ * restate each opcode's semantics independently of Cpu::execute, the
+ * uncached reference that step() runs, so the two engines check each
+ * other (tests/test_dispatch.cc, tests/test_predecode.cc, rrfuzz).
  *
- * Invalidation mirrors the predecode cache's contract exactly:
+ * Invalidation never lets a stale decode execute:
  *
  *  - simulated stores check the per-word cover map and mark the cache
  *    stale when they hit a word any block decoded (self-modifying
@@ -25,14 +27,6 @@
  *    whole cache warm;
  *  - checkpoint restore flushes everything — superblocks are derived
  *    state and never serialized (docs/CKPT.md).
- *
- * Fused descriptors (Fused mode) pack the dominant macro-op pairs —
- * ALU-immediate + compare-branch, load + use, and back-to-back ALU
- * adds (mov is an ADDI alias) — into one token.
- * Each constituent still retires individually: per-constituent budget
- * checks, delay-slot advance, trace callbacks, and pipeline_timing
- * charges, so traces, stats, and checkpoints stay byte-identical to
- * the per-instruction paths.
  */
 
 #include "machine/cpu.hh"
@@ -59,8 +53,8 @@ namespace {
 
 /**
  * Dispatch tokens. The first isa::numOpcodes values mirror the Opcode
- * enum so plain instructions translate with a cast; fused pair tokens
- * and the end-of-block sentinel follow.
+ * enum so instructions translate with a cast; the end-of-block
+ * sentinel follows.
  */
 #define RR_TOKENS(X) \
     X(NOP) X(HALT) \
@@ -75,10 +69,6 @@ namespace {
     X(MFPSW) X(MTPSW) \
     X(FF1) \
     X(FAULT) \
-    X(FUSED_ADDI_BEQ) X(FUSED_ADDI_BNE) \
-    X(FUSED_ADDI_BLT) X(FUSED_ADDI_BGE) \
-    X(FUSED_LD_ADDI) X(FUSED_LD_ADD) \
-    X(FUSED_ADDI_ADDI) X(FUSED_ADD_ADDI) X(FUSED_LUI_ORI) \
     X(END)
 
 enum Token : uint16_t
@@ -95,7 +85,7 @@ static_assert(tok_NOP == static_cast<uint16_t>(Opcode::NOP));
 static_assert(tok_LD == static_cast<uint16_t>(Opcode::LD));
 static_assert(tok_BGE == static_cast<uint16_t>(Opcode::BGE));
 static_assert(tok_FAULT == static_cast<uint16_t>(Opcode::FAULT));
-static_assert(tok_FUSED_ADDI_BEQ == isa::numOpcodes);
+static_assert(tok_END == isa::numOpcodes);
 
 } // namespace
 
@@ -105,24 +95,6 @@ Cpu::buildBlock(uint32_t entry)
     if (blocks_.size() >= kMaxSuperblocks)
         flushBlocks();
 
-    // Decode through the predecode cache so entries stay warm for
-    // step() interleavings and re-decode costs are shared.
-    auto decodeCached = [&](uint32_t pc, Instruction &out) -> bool {
-        const uint32_t word = memData_[pc];
-        ICacheEntry &slot = icache_[pc];
-        if (slot.valid && slot.word == word) {
-            out = slot.inst;
-            return true;
-        }
-        if (!isa::decode(word, out))
-            return false;
-        slot.word = word;
-        slot.inst = out;
-        slot.valid = true;
-        return true;
-    };
-
-    const bool fuse = config_.dispatch == DispatchMode::Fused;
     const uint32_t limit = static_cast<uint32_t>(std::min<uint64_t>(
         memWords_, uint64_t{entry} + kMaxBlockWords));
 
@@ -133,97 +105,22 @@ Cpu::buildBlock(uint32_t entry)
     uint32_t pc = entry;
     while (pc < limit) {
         Instruction inst;
-        if (!decodeCached(pc, inst))
+        if (!isa::decode(memData_[pc], inst))
             break; // undecodable: the block ends just before it
 
         MicroOp op;
         op.pc = pc;
         op.a = inst;
         op.token = static_cast<uint16_t>(inst.op);
+        blk.ops.push_back(op);
+        ++pc;
 
         // Unconditional control transfers and stops end the block.
         // Conditional branches do not: the not-taken path continues
         // in-block (that is what makes these superblocks).
-        const bool terminal =
-            inst.op == Opcode::JAL || inst.op == Opcode::JALR ||
+        if (inst.op == Opcode::JAL || inst.op == Opcode::JALR ||
             inst.op == Opcode::JMP || inst.op == Opcode::HALT ||
-            inst.op == Opcode::FAULT;
-
-        if (fuse && !terminal && pc + 1 < limit) {
-            Instruction nxt;
-            if (decodeCached(pc + 1, nxt)) {
-                uint16_t ftok = 0;
-                if (inst.op == Opcode::ADDI) {
-                    switch (nxt.op) {
-                      case Opcode::BEQ:
-                        ftok = tok_FUSED_ADDI_BEQ;
-                        break;
-                      case Opcode::BNE:
-                        ftok = tok_FUSED_ADDI_BNE;
-                        break;
-                      case Opcode::BLT:
-                        ftok = tok_FUSED_ADDI_BLT;
-                        break;
-                      case Opcode::BGE:
-                        ftok = tok_FUSED_ADDI_BGE;
-                        break;
-                      case Opcode::ADDI:
-                        // mov is an ADDI alias, so ALU-move runs are
-                        // everywhere in relocation-convention code.
-                        ftok = tok_FUSED_ADDI_ADDI;
-                        break;
-                      default:
-                        break;
-                    }
-                } else if (inst.op == Opcode::ADD) {
-                    if (nxt.op == Opcode::ADDI)
-                        ftok = tok_FUSED_ADD_ADDI;
-                } else if (inst.op == Opcode::LUI) {
-                    // li/la assemble to LUI + ORI; constants load in
-                    // one dispatch.
-                    if (nxt.op == Opcode::ORI)
-                        ftok = tok_FUSED_LUI_ORI;
-                } else if (inst.op == Opcode::LD) {
-                    if (nxt.op == Opcode::ADDI &&
-                        nxt.rs1 == inst.rd) {
-                        ftok = tok_FUSED_LD_ADDI;
-                    } else if (nxt.op == Opcode::ADD &&
-                               (nxt.rs1 == inst.rd ||
-                                nxt.rs2 == inst.rd)) {
-                        ftok = tok_FUSED_LD_ADD;
-                    }
-                }
-                // An ALU pair ending in ADDI yields to a better
-                // fusion: when the instruction after the pair is a
-                // conditional branch, leave the ADDI free so it can
-                // fuse with the branch on the next iteration (the
-                // compare-branch pair saves a block exit, which is
-                // worth more than an ALU dispatch).
-                if ((ftok == tok_FUSED_ADDI_ADDI ||
-                     ftok == tok_FUSED_ADD_ADDI) &&
-                    pc + 2 < limit) {
-                    Instruction after;
-                    if (decodeCached(pc + 2, after) &&
-                        (after.op == Opcode::BEQ ||
-                         after.op == Opcode::BNE ||
-                         after.op == Opcode::BLT ||
-                         after.op == Opcode::BGE)) {
-                        ftok = 0;
-                    }
-                }
-                if (ftok != 0) {
-                    op.token = ftok;
-                    op.b = nxt;
-                    blk.ops.push_back(op);
-                    pc += 2;
-                    continue;
-                }
-            }
-        }
-
-        blk.ops.push_back(op);
-        ++pc;
-        if (terminal)
+            inst.op == Opcode::FAULT)
             break;
     }
 
@@ -338,11 +235,11 @@ Cpu::runBlocks(uint64_t max_steps)
         if (blk == nullptr) {
             blk = buildBlock(pc_);
             if (blk == nullptr) {
-                // Undecodable entry word: take one per-instruction
-                // step so the InvalidOpcode trap is raised with
-                // identical semantics (no trace event, no retire).
+                // Undecodable entry word: take one reference step so
+                // the InvalidOpcode trap is raised with identical
+                // semantics (no trace event, no retire).
                 const uint64_t before = instret_;
-                stepFast();
+                step();
                 executed += instret_ - before;
                 continue;
             }
@@ -359,7 +256,7 @@ Cpu::runBlocks(uint64_t max_steps)
 // ---------------------------------------------------------------------
 // The token-threaded executor.
 //
-// Retirement contract (identical to stepFast): per instruction —
+// Retirement contract (identical to step()): per instruction —
 // budget check, delay-slot advance, trace hook (careful), execute,
 // ++cycles_/++instret_, applyTiming (careful). Fast mode accumulates
 // the counters in a register and flushes them at every exit (and
@@ -381,7 +278,7 @@ Cpu::runBlocks(uint64_t max_steps)
         return done;                                                   \
     } while (0)
 
-// Per-constituent prologue: budget, trap bookkeeping, LDRRM delay
+// Per-instruction prologue: budget, trap bookkeeping, LDRRM delay
 // slots, and (careful mode) the trace hook + hazard-window reset.
 #define RR_PROLOG(inst_, pcOf_)                                        \
     if (done >= budget) [[unlikely]] {                                 \
@@ -399,8 +296,7 @@ Cpu::runBlocks(uint64_t max_steps)
     if constexpr (Careful) {                                           \
         if (traceHook_) {                                              \
             traceHook_(TraceEntry{cycles_, (pcOf_), (inst_),           \
-                                  relocation_.mask(0),                 \
-                                  isa::disassemble((inst_))});         \
+                                  relocation_.mask(0)});               \
         }                                                              \
         if (timingEnabled_) {                                          \
             stepReadCount_ = 0;                                        \
@@ -408,7 +304,7 @@ Cpu::runBlocks(uint64_t max_steps)
         }                                                              \
     }
 
-// Retire a constituent that falls through inside the block.
+// Retire an instruction that falls through inside the block.
 #define RR_RETIRE_STEP(inst_, pcOf_)                                   \
     do {                                                               \
         if constexpr (Careful) {                                       \
@@ -431,7 +327,7 @@ Cpu::runBlocks(uint64_t max_steps)
 // have arrived since the last sync; a simulated store to cached code
 // sets blocksStale_ and exits its block immediately, so the flag check
 // suffices; LDRRM delay slots and bank switches refresh the relocation
-// table inline; and the per-constituent budget check in RR_PROLOG
+// table inline; and the per-instruction budget check in RR_PROLOG
 // still bounds the chained run. Careful mode never chains — the trace
 // hook may legitimately write memory between instructions, and the
 // outer loop must observe that.
@@ -518,29 +414,6 @@ Cpu::runBlocks(uint64_t max_steps)
                            op->a, op->pc);                             \
         }                                                              \
         RR_NEXT();                                                     \
-    }
-
-// Fused ALU-immediate + compare-branch. Constituents retire
-// individually; the pair splits cleanly when the budget runs out or
-// the second constituent traps.
-#define RR_FUSED_ADDI_BR(name, takenExpr)                              \
-    RR_CASE(name)                                                      \
-    {                                                                  \
-        RR_PROLOG(op->a, op->pc);                                      \
-        wrop(op->a.rd,                                                 \
-             rdop(op->a.rs1) + static_cast<uint32_t>(op->a.imm));      \
-        RR_RETIRE_STEP(op->a, op->pc);                                 \
-        RR_PROLOG(op->b, op->pc + 1);                                  \
-        const uint32_t lhs = rdop(op->b.rs1);                          \
-        const uint32_t rhs = rdop(op->b.rs2);                          \
-        if (takenExpr) {                                               \
-            RR_RETIRE_EXIT(op->pc + 1 +                                \
-                               static_cast<uint32_t>(op->b.imm),       \
-                           op->b, op->pc + 1);                         \
-        }                                                              \
-        RR_RETIRE_STEP(op->b, op->pc + 1);                             \
-        ++op;                                                          \
-        RR_DISPATCH();                                                 \
     }
 
 template <bool Careful>
@@ -782,7 +655,6 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
             if (addr >= memSz) [[unlikely]]
                 throwTrap(TrapKind::MemOutOfRange);
             mem[addr] = value;
-            icache_[addr].valid = false;
             if (cover[addr] != 0) [[unlikely]] {
                 // The store clobbered cached code — possibly a later
                 // descriptor of this very block. Mark the cache stale
@@ -902,83 +774,6 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
             return done;
         }
 
-        RR_FUSED_ADDI_BR(FUSED_ADDI_BEQ, lhs == rhs)
-        RR_FUSED_ADDI_BR(FUSED_ADDI_BNE, lhs != rhs)
-        RR_FUSED_ADDI_BR(FUSED_ADDI_BLT, static_cast<int32_t>(lhs) <
-                                             static_cast<int32_t>(rhs))
-        RR_FUSED_ADDI_BR(FUSED_ADDI_BGE, static_cast<int32_t>(lhs) >=
-                                             static_cast<int32_t>(rhs))
-
-        RR_CASE(FUSED_LD_ADDI)
-        {
-            RR_PROLOG(op->a, op->pc);
-            const uint64_t addr =
-                rdop(op->a.rs1) + static_cast<uint32_t>(op->a.imm);
-            if (addr >= memSz) [[unlikely]]
-                throwTrap(TrapKind::MemOutOfRange);
-            wrop(op->a.rd, mem[addr]);
-            RR_RETIRE_STEP(op->a, op->pc);
-            RR_PROLOG(op->b, op->pc + 1);
-            wrop(op->b.rd,
-                 rdop(op->b.rs1) + static_cast<uint32_t>(op->b.imm));
-            RR_RETIRE_STEP(op->b, op->pc + 1);
-            ++op;
-            RR_DISPATCH();
-        }
-        RR_CASE(FUSED_LD_ADD)
-        {
-            RR_PROLOG(op->a, op->pc);
-            const uint64_t addr =
-                rdop(op->a.rs1) + static_cast<uint32_t>(op->a.imm);
-            if (addr >= memSz) [[unlikely]]
-                throwTrap(TrapKind::MemOutOfRange);
-            wrop(op->a.rd, mem[addr]);
-            RR_RETIRE_STEP(op->a, op->pc);
-            RR_PROLOG(op->b, op->pc + 1);
-            wrop(op->b.rd, rdop(op->b.rs1) + rdop(op->b.rs2));
-            RR_RETIRE_STEP(op->b, op->pc + 1);
-            ++op;
-            RR_DISPATCH();
-        }
-
-        RR_CASE(FUSED_ADDI_ADDI)
-        {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd,
-                 rdop(op->a.rs1) + static_cast<uint32_t>(op->a.imm));
-            RR_RETIRE_STEP(op->a, op->pc);
-            RR_PROLOG(op->b, op->pc + 1);
-            wrop(op->b.rd,
-                 rdop(op->b.rs1) + static_cast<uint32_t>(op->b.imm));
-            RR_RETIRE_STEP(op->b, op->pc + 1);
-            ++op;
-            RR_DISPATCH();
-        }
-        RR_CASE(FUSED_ADD_ADDI)
-        {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd, rdop(op->a.rs1) + rdop(op->a.rs2));
-            RR_RETIRE_STEP(op->a, op->pc);
-            RR_PROLOG(op->b, op->pc + 1);
-            wrop(op->b.rd,
-                 rdop(op->b.rs1) + static_cast<uint32_t>(op->b.imm));
-            RR_RETIRE_STEP(op->b, op->pc + 1);
-            ++op;
-            RR_DISPATCH();
-        }
-        RR_CASE(FUSED_LUI_ORI)
-        {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd, static_cast<uint32_t>(op->a.imm) << 12);
-            RR_RETIRE_STEP(op->a, op->pc);
-            RR_PROLOG(op->b, op->pc + 1);
-            wrop(op->b.rd,
-                 rdop(op->b.rs1) | static_cast<uint32_t>(op->b.imm));
-            RR_RETIRE_STEP(op->b, op->pc + 1);
-            ++op;
-            RR_DISPATCH();
-        }
-
         RR_CASE(END)
         {
             // Fallthrough off the end of the block: chain into the
@@ -1015,7 +810,6 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
 #undef RR_DISPATCH
 #undef RR_NEXT
 #undef RR_BRANCH_HANDLER
-#undef RR_FUSED_ADDI_BR
 #undef RR_TOKENS
 
 template uint64_t Cpu::execBlock<false>(const SuperBlock &, uint64_t);

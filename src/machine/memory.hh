@@ -39,11 +39,11 @@ class Memory
     void clear();
 
     /**
-     * Raw word storage for pre-validated fast paths (the Cpu predecode
-     * core). Callers must bounds-check addresses themselves; the
+     * Raw word storage for pre-validated fast paths (the Cpu's
+     * threaded engine). Callers must bounds-check addresses themselves; the
      * pointer stays valid for the Memory's lifetime (the size is fixed
      * at construction). Writes through this pointer bypass the
-     * mutation counter and write journal below — the Cpu fast path
+     * mutation counter and write journal below — the threaded engine
      * does its own invalidation for those.
      */
     const uint32_t *data() const { return words_.data(); }

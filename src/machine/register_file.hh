@@ -35,8 +35,8 @@ class RegisterFile
     std::vector<uint32_t> snapshot() const { return regs_; }
 
     /**
-     * Raw register storage for pre-validated fast paths (the Cpu
-     * predecode core). Indices must come from a relocation table whose
+     * Raw register storage for pre-validated fast paths (the Cpu's
+     * threaded engine). Indices must come from a relocation table whose
      * entries were range-checked at build time; the pointer stays
      * valid for the file's lifetime (the size is fixed at
      * construction).

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/static/lint.hh"
 #include "assembler/assembler.hh"
 #include "base/rng.hh"
 #include "isa/instruction.hh"
+#include "machine/cpu.hh"
 
 namespace rr::assembler {
 namespace {
@@ -113,6 +115,76 @@ TEST(Assembler, LiExpandsToLuiOri)
     EXPECT_EQ(value, 0x12345u);
 }
 
+/** Assemble @p source, run it to HALT, and return register @p reg. */
+uint32_t
+runAndRead(const std::string &source, unsigned reg)
+{
+    const Program prog = assemble(source);
+    for (const Diagnostic &error : prog.errors)
+        ADD_FAILURE() << error.str();
+    machine::CpuConfig config;
+    config.memWords = 4096;
+    machine::Cpu cpu(config);
+    cpu.mem().loadImage(prog.base, prog.words);
+    cpu.setPc(prog.base);
+    cpu.run(100);
+    EXPECT_TRUE(cpu.halted());
+    return cpu.regs().read(reg);
+}
+
+// Low 12 bits of 0x800..0xfff do not fit ORI's signed immediate: li
+// rounds the LUI part up and ADDs the negative remainder instead.
+TEST(Assembler, LiWithHighLowBitsRoundsTheUpperPart)
+{
+    for (const uint32_t value :
+         {0x800u, 0xfffu, 0x12fffu, 0x3fffe800u, 0x3ffff7ffu}) {
+        SCOPED_TRACE(value);
+        const std::string source =
+            "li r1, " + std::to_string(value) + "\nhalt\n";
+        EXPECT_EQ(runAndRead(source, 1), value);
+    }
+
+    const Program prog = assemble("li r1, 0x12fff\n");
+    ASSERT_TRUE(prog.ok());
+    EXPECT_EQ(decodeWord(prog, 0), isa::makeJ(Opcode::LUI, 1, 0x13));
+    EXPECT_EQ(decodeWord(prog, 1),
+              isa::makeI(Opcode::ADDI, 1, 1, -1));
+
+    // Below 0x800 the bytes are the classic LUI+ORI pair.
+    const Program low = assemble("li r1, 0x127ff\n");
+    ASSERT_TRUE(low.ok());
+    EXPECT_EQ(decodeWord(low, 0), isa::makeJ(Opcode::LUI, 1, 0x12));
+    EXPECT_EQ(decodeWord(low, 1),
+              isa::makeI(Opcode::ORI, 1, 1, 0x7ff));
+
+    // la takes the same path for a label past 0x800.
+    EXPECT_EQ(runAndRead("    la r2, far\n"
+                         "    halt\n"
+                         ".org 0x900\n"
+                         "far: .word 0\n",
+                         2),
+              0x900u);
+}
+
+// rrlint's RRM constant propagation folds the LUI+ADDI form too, so a
+// window opened by such a li is known statically.
+TEST(Assembler, LiWithHighLowBitsIsVisibleToLint)
+{
+    const Program prog = assemble("entry:\n"
+                                  "    li    r10, 0xfe0\n"
+                                  "    ldrrm r10\n"
+                                  "    nop\n"
+                                  "    add   r1, r2, r3\n"
+                                  "    halt\n");
+    ASSERT_TRUE(prog.ok());
+    EXPECT_EQ(decodeWord(prog, 1).op, Opcode::ADDI);
+    const lint::LintResult result = lint::lintProgram(prog, {});
+    bool found = false;
+    for (const lint::ThreadReport &window : result.threads)
+        found = found || window.rrm == 0xfe0u;
+    EXPECT_TRUE(found);
+}
+
 TEST(Assembler, LaResolvesLabelAddress)
 {
     const Program prog = assemble("  la r1, data\n"
@@ -205,6 +277,35 @@ TEST(AssemblerErrors, DuplicateLabel)
     EXPECT_NE(prog.errors[0].message.find("duplicate"),
               std::string::npos);
     EXPECT_EQ(prog.errors[0].line, 2);
+}
+
+// Immediates that do not fit their field are diagnosed on the source
+// line, never passed on to the encoder (which would abort).
+TEST(AssemblerErrors, OutOfRangeImmediatesAreDiagnosed)
+{
+    for (const char *source :
+         {"nop\nli r1, 0x40000000\n", "nop\naddi r1, r1, 5000\n",
+          "nop\nlui r1, 999999\n", "nop\nld r1, 9000(r2)\n",
+          "nop\nli r1, 0x3ffffff0\n", "nop\nfault 4096\n"}) {
+        SCOPED_TRACE(source);
+        const Program prog = assemble(source);
+        ASSERT_EQ(prog.errors.size(), 1u);
+        EXPECT_EQ(prog.errors[0].line, 2);
+    }
+
+    // A branch to a label more than 2047 words away.
+    std::string far = "beq r0, r0, far\n";
+    for (int i = 0; i < 2100; ++i)
+        far += "nop\n";
+    far += "far: halt\n";
+    for (const std::string head : {"beq r0, r0, far", "b far"}) {
+        const Program prog =
+            assemble(head + far.substr(far.find('\n')));
+        ASSERT_EQ(prog.errors.size(), 1u) << head;
+        EXPECT_EQ(prog.errors[0].line, 1);
+        EXPECT_NE(prog.errors[0].message.find("branch offset 2101"),
+                  std::string::npos);
+    }
 }
 
 TEST(AssemblerErrors, BadRegister)

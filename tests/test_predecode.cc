@@ -1,14 +1,14 @@
 /**
  * @file
- * The predecoded instruction cache must be architecturally invisible:
- * identical registers, memory, counters, traps, timing stats, and
- * traces with the cache on or off — and, when on, under every run()
- * dispatch strategy (switch, threaded, fused superblocks) — over
- * every example program and the configurations that exercise each
- * relocation mode. Plus the two invalidation paths that keep it
- * sound — simulated stores (self-modifying code) and host writes
- * through Memory — and the fall-back to the uncached path for
- * oversized memories, including the exact cap boundary.
+ * The two interpreter engines must agree: threaded superblock
+ * dispatch (CpuConfig::predecode on) leaves identical registers,
+ * memory, counters, traps, timing stats, and traces to the uncached
+ * reference (predecode off) over every example program and the
+ * configurations that exercise each relocation mode. Plus the two
+ * invalidation paths that keep the block cache sound — simulated
+ * stores (self-modifying code) and host writes through Memory — and
+ * the fall-back to the reference engine for oversized memories,
+ * including the exact cap boundary.
  */
 
 #include <algorithm>
@@ -61,7 +61,6 @@ assembleOrDie(const std::string &source)
 struct ArchState
 {
     bool cacheActive = false;
-    bool dispatchActive = false;
     uint64_t instret = 0;
     uint64_t cycles = 0;
     uint64_t stalls = 0;
@@ -73,22 +72,19 @@ struct ArchState
     std::vector<uint32_t> mem;
 };
 
-/** Run @p prog with the cache forced on or off and @p dispatch. */
+/** Run @p prog on the threaded (@p predecode) or reference engine. */
 ArchState
 runWith(const CpuConfig &config, const assembler::Program &prog,
-        bool predecode, uint64_t steps = 100'000,
-        DispatchMode dispatch = DispatchMode::Switch)
+        bool predecode, uint64_t steps = 100'000)
 {
     CpuConfig c = config;
     c.predecode = predecode;
-    c.dispatch = dispatch;
     Cpu cpu(c);
     loadAndStart(cpu, prog);
     cpu.run(steps);
 
     ArchState state;
     state.cacheActive = cpu.predecodeActive();
-    state.dispatchActive = cpu.dispatchActive();
     state.instret = cpu.instructionsRetired();
     state.cycles = cpu.cycles();
     state.stalls = cpu.timingStats().total();
@@ -104,8 +100,8 @@ runWith(const CpuConfig &config, const assembler::Program &prog,
 }
 
 /**
- * Full architectural-state comparison across the dispatch matrix:
- * the uncached reference against the cache in every dispatch mode.
+ * Full architectural-state comparison of the two engines: the
+ * uncached reference against threaded dispatch.
  */
 void
 expectSameArchState(const CpuConfig &config,
@@ -115,26 +111,18 @@ expectSameArchState(const CpuConfig &config,
     const ArchState off = runWith(config, prog, false, steps);
     EXPECT_FALSE(off.cacheActive);
 
-    constexpr DispatchMode kModes[] = {DispatchMode::Switch,
-                                       DispatchMode::Threaded,
-                                       DispatchMode::Fused};
-    for (const DispatchMode mode : kModes) {
-        SCOPED_TRACE(dispatchModeName(mode));
-        const ArchState on = runWith(config, prog, true, steps, mode);
+    const ArchState on = runWith(config, prog, true, steps);
+    EXPECT_TRUE(on.cacheActive);
 
-        EXPECT_TRUE(on.cacheActive);
-        EXPECT_EQ(on.dispatchActive, mode != DispatchMode::Switch);
-
-        EXPECT_EQ(on.instret, off.instret);
-        EXPECT_EQ(on.cycles, off.cycles);
-        EXPECT_EQ(on.pc, off.pc);
-        EXPECT_EQ(on.halted, off.halted);
-        EXPECT_EQ(on.trap, off.trap);
-        EXPECT_EQ(on.psw, off.psw);
-        EXPECT_EQ(on.stalls, off.stalls);
-        EXPECT_EQ(on.regs, off.regs);
-        EXPECT_EQ(on.mem, off.mem);
-    }
+    EXPECT_EQ(on.instret, off.instret);
+    EXPECT_EQ(on.cycles, off.cycles);
+    EXPECT_EQ(on.pc, off.pc);
+    EXPECT_EQ(on.halted, off.halted);
+    EXPECT_EQ(on.trap, off.trap);
+    EXPECT_EQ(on.psw, off.psw);
+    EXPECT_EQ(on.stalls, off.stalls);
+    EXPECT_EQ(on.regs, off.regs);
+    EXPECT_EQ(on.mem, off.mem);
 }
 
 std::vector<assembler::Program>
@@ -250,12 +238,12 @@ entry:
 }
 
 // Self-modifying code: the program overwrites an upcoming
-// instruction word; the cached predecode of the old word must be
+// instruction word; a cached block holding the old word must be
 // dropped at the store, not served stale.
 TEST(Predecode, StoreInvalidatesCachedInstruction)
 {
     // 'patch' starts as "addi r3, r0, 1"; the program first executes
-    // it (so it is hot in the predecode cache), then overwrites it
+    // it (so it is hot in the block cache), then overwrites it
     // with "addi r3, r0, 2" and loops back through it.
     const assembler::Program prog = assembleOrDie(R"(
 entry:
@@ -273,33 +261,22 @@ patch:
 newinst:
     addi  r3, r0, 2
 )");
-    const struct
-    {
-        bool predecode;
-        DispatchMode dispatch;
-    } kLegs[] = {{false, DispatchMode::Switch},
-                 {true, DispatchMode::Switch},
-                 {true, DispatchMode::Threaded},
-                 {true, DispatchMode::Fused}};
-    for (const auto &leg : kLegs) {
+    for (const bool predecode : {false, true}) {
         CpuConfig config = baseConfig();
-        config.predecode = leg.predecode;
-        config.dispatch = leg.dispatch;
+        config.predecode = predecode;
         Cpu cpu(config);
         loadAndStart(cpu, prog);
         cpu.run(100);
         EXPECT_TRUE(cpu.halted());
         EXPECT_EQ(cpu.regs().read(3), 2u)
-            << "stale predecode served (predecode=" << leg.predecode
-            << ", dispatch=" << dispatchModeName(leg.dispatch)
-            << ")";
+            << "stale decode served (predecode=" << predecode << ")";
     }
     const assembler::Program again = prog;
     expectSameArchState(baseConfig(), again, 100);
 }
 
 // Host writes bypass the CPU's store path entirely (kernels patch
-// completion flags this way); the word-tag compare must still catch
+// completion flags this way); the write journal must still catch
 // the change.
 TEST(Predecode, HostMemoryWriteInvalidatesCachedInstruction)
 {
@@ -308,19 +285,15 @@ entry:
     addi  r3, r0, 1
     beq   r0, r0, entry
 )");
-    for (const DispatchMode dispatch :
-         {DispatchMode::Switch, DispatchMode::Threaded,
-          DispatchMode::Fused}) {
-        SCOPED_TRACE(dispatchModeName(dispatch));
+    for (const bool predecode : {false, true}) {
+        SCOPED_TRACE(predecode);
         CpuConfig config = baseConfig();
-        config.predecode = true;
-        config.dispatch = dispatch;
+        config.predecode = predecode;
         Cpu cpu(config);
         loadAndStart(cpu, prog);
 
         // Let the two-instruction loop get cached.
-        for (int i = 0; i < 6; ++i)
-            cpu.step();
+        cpu.run(6);
         EXPECT_EQ(cpu.regs().read(3), 1u);
 
         // Patch the first instruction to "addi r3, r0, 3" from the
@@ -330,15 +303,14 @@ entry:
         patched.imm = 3;
         cpu.mem().write(0, isa::encode(patched));
 
-        for (int i = 0; i < 2; ++i)
-            cpu.step();
+        cpu.run(2);
         EXPECT_EQ(cpu.regs().read(3), 3u)
-            << "tag compare missed a host write";
+            << "block cache missed a host write";
     }
 }
 
-// Memories past the predecode cap silently fall back to the uncached
-// path rather than allocating a giant side table.
+// Memories past the cap silently fall back to the reference engine
+// rather than allocating a giant block index.
 TEST(Predecode, OversizedMemoryFallsBackToUncached)
 {
     CpuConfig config = baseConfig();
@@ -346,7 +318,6 @@ TEST(Predecode, OversizedMemoryFallsBackToUncached)
     config.memWords = (size_t{1} << 22) + 1;
     Cpu cpu(config);
     EXPECT_FALSE(cpu.predecodeActive());
-    EXPECT_FALSE(cpu.dispatchActive());
 
     config.memWords = 4096;
     Cpu small(config);
@@ -354,7 +325,7 @@ TEST(Predecode, OversizedMemoryFallsBackToUncached)
 }
 
 // The fallback boundary itself: a memory of exactly kPredecodeMaxWords
-// is still shadowed (the cap is inclusive), one word more is not, and
+// is still indexed (the cap is inclusive), one word more is not, and
 // a self-modifying program sitting right against the cap behaves
 // identically on both sides of it — the store-invalidation semantics
 // must not depend on which path the memory size selected.
@@ -363,10 +334,8 @@ TEST(Predecode, FallbackBoundaryKeepsStoreInvalidationSemantics)
     constexpr size_t kCap = Cpu::kPredecodeMaxWords;
     // Same shape as StoreInvalidatesCachedInstruction, but placed in
     // the last few words below the cap so the patched instruction is
-    // the highest cacheable address. la cannot encode these addresses
-    // (their low 12 bits exceed the signed ORI range), so patch and
-    // newinst are reached by backing off from the cap itself:
-    // lui 1024 == 1 << 22.
+    // the highest cacheable address. patch and newinst are reached by
+    // backing off from the cap itself: lui 1024 == 1 << 22.
     const assembler::Program prog = assembleOrDie(R"(
 .org 4194292
 entry:
@@ -404,14 +373,13 @@ newinst:
         config.memWords = memWords;
         Cpu cpu(config);
         // Inclusive cap: exactly kPredecodeMaxWords still caches,
-        // one more word falls back to decode-per-step.
+        // one more word falls back to the reference engine.
         EXPECT_EQ(cpu.predecodeActive(), memWords <= kCap);
-        EXPECT_EQ(cpu.dispatchActive(), memWords <= kCap);
         loadAndStart(cpu, prog);
         cpu.run(100);
         EXPECT_TRUE(cpu.halted());
         EXPECT_EQ(cpu.regs().read(3), 2u)
-            << "stale instruction served near the predecode cap";
+            << "stale instruction served near the cap";
         if (memWords == kCap) {
             cachedInstret = cpu.instructionsRetired();
             cachedCycles = cpu.cycles();
@@ -431,34 +399,26 @@ TEST(Predecode, ConfigOffDisablesCache)
 }
 
 // Traces must be identical too: the hook sees the same decoded
-// instruction, mask, cycle, and disassembly in every mode, including
-// the fused dispatcher (which must split each macro-op pair back into
-// two per-instruction hook calls).
+// instruction, mask, and cycle on both engines.
 TEST(Predecode, TraceStreamIdenticalInAllModes)
 {
     const assembler::Program prog = assembleOrDie(kSwitchProgram);
-    const auto capture = [&](bool predecode, DispatchMode dispatch) {
+    const auto capture = [&](bool predecode) {
         CpuConfig config = baseConfig();
         config.predecode = predecode;
-        config.dispatch = dispatch;
         Cpu cpu(config);
         std::ostringstream out;
         cpu.setTraceHook([&out](const TraceEntry &entry) {
             out << entry.cycle << ' ' << entry.pc << ' ' << entry.rrm
-                << ' ' << entry.text << '\n';
+                << ' ' << isa::disassemble(entry.inst) << '\n';
         });
         loadAndStart(cpu, prog);
         cpu.run(100'000);
         return out.str();
     };
-    const std::string off = capture(false, DispatchMode::Switch);
+    const std::string off = capture(false);
     EXPECT_FALSE(off.empty());
-    for (const DispatchMode mode :
-         {DispatchMode::Switch, DispatchMode::Threaded,
-          DispatchMode::Fused}) {
-        SCOPED_TRACE(dispatchModeName(mode));
-        EXPECT_EQ(capture(true, mode), off);
-    }
+    EXPECT_EQ(capture(true), off);
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include "analysis/static/lockset.hh"
 #include "analysis/static/rrm_state.hh"
 #include "assembler/assembler.hh"
+#include "runtime/asm_routines.hh"
 
 namespace rr::lint {
 namespace {
@@ -908,6 +909,274 @@ TEST(Lint, JsonDocumentCoversAllFileShapes)
     EXPECT_NE(doc.find("\"races\""), std::string::npos);
     EXPECT_NE(doc.find("\"files\": 3"), std::string::npos);
     EXPECT_NE(doc.find("\"exit\": 2"), std::string::npos);
+}
+
+// ---- Section 2.4 boundary checks -----------------------------------------
+//
+// The paper suggests "a separate tool could be used to statically check
+// executables or object files for most violations of context
+// boundaries". These cases pin that contract on rrlint: the flat
+// declared-context check (what `rrasm --check N` runs) and, where a
+// check needs per-region context sizes, the per-procedure summaries
+// that replace hand-declared regions.
+
+std::vector<Finding>
+findingsWithCode(const LintResult &result, const std::string &code)
+{
+    std::vector<Finding> out;
+    for (const Finding &f : result.findings) {
+        if (f.code == code)
+            out.push_back(f);
+    }
+    return out;
+}
+
+LintResult
+lintAt(const assembler::Program &p, unsigned declared_context)
+{
+    LintOptions options;
+    options.declaredContext = declared_context;
+    return lintProgram(p, options);
+}
+
+const ProcedureReport *
+procedureNamed(const LintResult &result, const std::string &name)
+{
+    for (const ProcedureReport &proc : result.procedures) {
+        if (proc.name == name)
+            return &proc;
+    }
+    ADD_FAILURE() << "no procedure report for " << name;
+    return nullptr;
+}
+
+TEST(BoundaryChecker, CleanProgramPasses)
+{
+    const auto p = prog("add r1, r2, r3\n"
+                        "ld r4, 0(r5)\n"
+                        "beq r6, r7, 0\n"
+                        "halt\n");
+    EXPECT_TRUE(lintAt(p, 8).clean());
+}
+
+const char *const kEachSlot = "add r9, r1, r2\n"  // rd out of 8
+                              "add r1, r9, r2\n"  // rs1 out
+                              "add r1, r2, r9\n"; // rs2 out
+
+// Each operand slot is checked: one finding per offending operand.
+TEST(BoundaryChecker, FlagsEachOperandSlot)
+{
+    const auto found =
+        findingsWithCode(lintAt(prog(kEachSlot), 8), "boundary");
+    ASSERT_EQ(found.size(), 3u);
+    for (uint32_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(found[i].address, i);
+        EXPECT_EQ(found[i].severity, Severity::Error);
+        EXPECT_NE(found[i].message.find(" r9 "), std::string::npos);
+        EXPECT_NE(found[i].message.find("context of 8 registers"),
+                  std::string::npos);
+    }
+}
+
+// ...and the finding names the slot the way the ISA does.
+TEST(BoundaryChecker, OperandKindNames)
+{
+    const auto found =
+        findingsWithCode(lintAt(prog(kEachSlot), 8), "boundary");
+    ASSERT_EQ(found.size(), 3u);
+    EXPECT_NE(found[0].message.find(": rd r9 "), std::string::npos);
+    EXPECT_NE(found[1].message.find(": rs1 r9 "), std::string::npos);
+    EXPECT_NE(found[2].message.find(": rs2 r9 "), std::string::npos);
+}
+
+TEST(BoundaryChecker, ReportsAddressAndLine)
+{
+    const auto p = prog("nop\n"
+                        "nop\n"
+                        "addi r12, r1, 0\n");
+    const auto found = findingsWithCode(lintAt(p, 8), "boundary");
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found[0].address, 2u);
+    EXPECT_EQ(found[0].line, 3);
+    EXPECT_NE(found[0].str().find("r12"), std::string::npos);
+}
+
+// B-format's slot A is rs1: a branch on r9 reports rs1, once.
+TEST(BoundaryChecker, BFormatHasNoRd)
+{
+    const auto p = prog("beq r9, r1, 0\n");
+    const auto found = findingsWithCode(lintAt(p, 8), "boundary");
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_NE(found[0].message.find(": rs1 r9 "), std::string::npos);
+}
+
+TEST(BoundaryChecker, DataWordsIgnoredByDefault)
+{
+    const auto p = prog(".word 0xffffffff\n"
+                        "halt\n");
+    EXPECT_TRUE(lintAt(p, 8).clean());
+
+    LintOptions options;
+    options.declaredContext = 8;
+    options.flagInvalidWords = true;
+    const LintResult result = lintProgram(p, options);
+    EXPECT_EQ(findingsWithCode(result, "invalid-word").size(), 1u);
+    EXPECT_TRUE(findingsWithCode(result, "boundary").empty());
+}
+
+TEST(BoundaryChecker, MultiRrmBankBitExcused)
+{
+    // Operand 32+5 = r37: illegal in a size-8 single-bank context,
+    // legal when the top bit selects bank 1 (offset 5).
+    const auto p = prog("add r37, r1, r2\nhalt\n");
+    EXPECT_EQ(findingsWithCode(lintAt(p, 8), "boundary").size(), 1u);
+
+    LintOptions options;
+    options.declaredContext = 8;
+    options.banks = 2;
+    options.operandWidth = 6;
+    EXPECT_TRUE(
+        findingsWithCode(lintProgram(p, options), "boundary").empty());
+}
+
+TEST(BoundaryChecker, MultiRrmBankNonDefaultOperandWidth)
+{
+    // With w = 5 and two banks, only the low 4 bits are the offset:
+    // r21 = 0b1.0101 is bank 1, offset 5 (fine in a size-8 context);
+    // r29 = 0b1.1101 is bank 1, offset 13 (violates it).
+    LintOptions options;
+    options.declaredContext = 8;
+    options.banks = 2;
+    options.operandWidth = 5;
+
+    EXPECT_TRUE(findingsWithCode(
+                    lintProgram(prog("add r21, r1, r2\nhalt\n"), options),
+                    "boundary")
+                    .empty());
+
+    const auto found = findingsWithCode(
+        lintProgram(prog("add r29, r1, r2\nhalt\n"), options),
+        "boundary");
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_NE(found[0].message.find("r29"), std::string::npos);
+
+    // Four banks on the full 6-bit field: r37 = 0b10.0101 is bank 2,
+    // offset 5.
+    options.banks = 4;
+    options.operandWidth = 6;
+    EXPECT_TRUE(findingsWithCode(
+                    lintProgram(prog("add r37, r1, r2\nhalt\n"), options),
+                    "boundary")
+                    .empty());
+}
+
+// Per-region context sizes come from the call graph: each procedure's
+// requirement is summarised independently of its neighbours.
+TEST(BoundaryChecker, RegionsCheckIndependently)
+{
+    const auto p = prog("entry:\n"
+                        "    jal  r7, wide\n"
+                        "    jal  r7, narrow\n"
+                        "    halt\n"
+                        "wide:\n"
+                        "    addi r10, r1, 0\n" // needs 16
+                        "    jmp  r7\n"
+                        "narrow:\n"
+                        "    addi r5, r1, 0\n" // fits 8
+                        "    jmp  r7\n");
+    LintOptions options;
+    options.interprocedural = true;
+    const LintResult result = lintProgram(p, options);
+    const ProcedureReport *wide = procedureNamed(result, "wide");
+    const ProcedureReport *narrow = procedureNamed(result, "narrow");
+    ASSERT_NE(wide, nullptr);
+    ASSERT_NE(narrow, nullptr);
+    EXPECT_EQ(wide->minContext, 16u);
+    EXPECT_EQ(narrow->minContext, 8u);
+}
+
+// Code shared by two procedures counts against each of them: the
+// callee's requirement reaches every caller's transitive summary.
+TEST(BoundaryChecker, OverlappingRegionsCheckUnderEachLimit)
+{
+    const auto p = prog("entry:\n"
+                        "    jal  r7, left\n"
+                        "    jal  r7, right\n"
+                        "    halt\n"
+                        "left:\n"
+                        "    addi r2, r2, 1\n"
+                        "    jal  r3, shared\n"
+                        "    jmp  r7\n"
+                        "right:\n"
+                        "    addi r2, r2, 2\n"
+                        "    jal  r3, shared\n"
+                        "    jmp  r7\n"
+                        "shared:\n"
+                        "    addi r10, r1, 0\n"
+                        "    jmp  r3\n");
+    LintOptions options;
+    options.interprocedural = true;
+    const LintResult result = lintProgram(p, options);
+    for (const char *name : {"left", "right", "shared"}) {
+        const ProcedureReport *proc = procedureNamed(result, name);
+        ASSERT_NE(proc, nullptr);
+        EXPECT_EQ(proc->minContext, 16u) << name;
+    }
+}
+
+TEST(BoundaryChecker, RegionsFlagInvalidWords)
+{
+    const auto p = prog("halt\n"
+                        ".word 0xffffffff\n"
+                        "halt\n");
+    LintOptions options;
+    options.declaredContext = 8;
+    options.flagInvalidWords = true;
+    const auto found =
+        findingsWithCode(lintProgram(p, options), "invalid-word");
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found[0].address, 1u);
+    EXPECT_EQ(found[0].line, 2);
+}
+
+// Control flow that leaves the image is not followed: nothing past
+// the assembled words is decoded or checked.
+TEST(BoundaryChecker, RegionsOutsideImageSkipped)
+{
+    const auto p = prog("beq r0, r0, 50\n"
+                        "halt\n");
+    LintOptions options;
+    options.declaredContext = 4;
+    options.flagInvalidWords = true;
+    options.interprocedural = true;
+    const LintResult result = lintProgram(p, options);
+    EXPECT_TRUE(result.findings.empty());
+    ASSERT_EQ(result.threads.size(), 1u);
+    EXPECT_EQ(result.threads[0].minContext, 1u);
+}
+
+// The paper's own runtime code satisfies its register conventions:
+// the Figure 3 yield routine touches only r0..r2 and fits a
+// 4-register context; the Appendix A allocator uses r4..r15 and fits
+// a 16-register scheduler context.
+TEST(BoundaryChecker, Figure3YieldFitsMinimalContext)
+{
+    LintOptions options;
+    options.interprocedural = true;
+    const LintResult result =
+        lintProgram(prog(runtime::roundRobinDemoSource()), options);
+    EXPECT_TRUE(result.clean());
+    const ProcedureReport *yield = procedureNamed(result, "yield");
+    ASSERT_NE(yield, nullptr);
+    EXPECT_EQ(yield->minContext, 4u);
+}
+
+TEST(BoundaryChecker, AppendixAAllocatorFitsSchedulerContext)
+{
+    const auto p = prog(runtime::appendixAAllocatorSource());
+    EXPECT_TRUE(lintAt(p, 16).clean());
+    // ...but it would violate an 8-register context.
+    EXPECT_FALSE(findingsWithCode(lintAt(p, 8), "boundary").empty());
 }
 
 } // namespace

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "assembler/assembler.hh"
-#include "checker/boundary_checker.hh"
+#include "analysis/static/lint.hh"
 #include "kernel/twophase_kernel.hh"
 #include "runtime/asm_routines.hh"
 
@@ -124,12 +124,17 @@ TEST(TwoPhaseKernel, WholeRuntimeFitsEightRegisterContexts)
     const auto prog = assembler::assemble(
         runtime::twoPhaseSchedulerSource(50, 3));
     ASSERT_TRUE(prog.ok());
-    const auto violations = checker::checkProgram(prog, 8);
-    for (const auto &violation : violations)
-        ADD_FAILURE() << violation.str();
-    EXPECT_TRUE(violations.empty());
+    lint::LintOptions options;
+    options.declaredContext = 8;
+    const lint::LintResult fits = lint::lintProgram(prog, options);
+    for (const auto &finding : fits.findings)
+        ADD_FAILURE() << finding.str();
+    EXPECT_TRUE(fits.clean());
     // And not a 4-register context (r4..r7 are in use).
-    EXPECT_FALSE(checker::checkProgram(prog, 4).empty());
+    options.declaredContext = 4;
+    const lint::LintResult tight = lint::lintProgram(prog, options);
+    ASSERT_FALSE(tight.findings.empty());
+    EXPECT_EQ(tight.findings.front().code, "boundary");
 }
 
 } // namespace

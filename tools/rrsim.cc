@@ -332,7 +332,8 @@ main(int argc, char **argv)
                     std::printf(
                         "%8lu  rrm=0x%02x  %6u: %s\n",
                         static_cast<unsigned long>(entry.cycle),
-                        entry.rrm, entry.pc, entry.text.c_str());
+                        entry.rrm, entry.pc,
+                        rr::isa::disassemble(entry.inst).c_str());
                 });
         }
     };
