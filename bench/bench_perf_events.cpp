@@ -5,6 +5,9 @@
  * Figure 5-style (cache faults, never unload) and Figure 6-style
  * (sync faults, two-phase unload) scenarios, and reports the
  * completion-heap high-water mark from the zero-allocation EventCore.
+ * The Figure 6 scenario runs again at 1024 threads, and a note
+ * compares its host ns/event with the small run's, so a per-event
+ * cost that grows with the thread count shows up next to the totals.
  *
  * As in bench_perf_interp, only deterministic counters enter the
  * compared table — total cycles, event counts, and the heap bound,
@@ -39,7 +42,22 @@ struct Scenario
 {
     std::string name;
     mt::MtConfig config;
+    unsigned reps;
 };
+
+/** The Figure 6-style scenario: sync faults, two-phase unloading. */
+mt::MtConfig
+syncTwoPhase(unsigned threads)
+{
+    return mt::SimulationSpec()
+        .threads(threads)
+        .workPerThread(40'000)
+        .registerDemand(8, 24)
+        .syncFaults(100.0, 1'000.0)
+        .twoPhaseUnload()
+        .seed(1)
+        .build();
+}
 
 } // namespace
 
@@ -51,13 +69,15 @@ RR_PERF_FIGURE(perf_events,
 
     const unsigned threads = ctx.run().fast ? 48 : 96;
     const unsigned reps = ctx.run().fast ? 3 : 10;
+    constexpr unsigned kManyThreads = 1024;
 
     ctx.text(exp::strf("Each scenario simulates %u threads to "
-                       "completion %u times per seed; the table "
-                       "carries seed-determined totals (cycles, "
-                       "events, heap high-water mark), the notes "
-                       "wall-clock throughput.",
-                       threads, reps));
+                       "completion %u times per seed (the last one "
+                       "%u threads, once); the table carries "
+                       "seed-determined totals (cycles, events, heap "
+                       "high-water mark), the notes wall-clock "
+                       "throughput.",
+                       threads, reps, kManyThreads));
 
     std::vector<Scenario> scenarios;
     scenarios.push_back(
@@ -69,23 +89,21 @@ RR_PERF_FIGURE(perf_events,
              .cacheFaults(50.0, 200)
              .neverUnload()
              .seed(1)
-             .build()});
+             .build(),
+         reps});
     scenarios.push_back(
-        {"fig6_sync_twophase",
-         mt::SimulationSpec()
-             .threads(threads)
-             .workPerThread(40'000)
-             .registerDemand(8, 24)
-             .syncFaults(100.0, 1'000.0)
-             .twoPhaseUnload()
-             .seed(1)
-             .build()});
+        {"fig6_sync_twophase", syncTwoPhase(threads), reps});
+    scenarios.push_back({"fig6_sync_twophase_t1024",
+                         syncTwoPhase(kManyThreads), 1});
 
     Table table({"scenario", "cycles", "events", "faults", "loads",
                  "unloads", "heap max"});
     double total_events = 0.0, total_secs = 0.0;
+    double sync_ns_per_event[2] = {0.0, 0.0}; // few threads, many
 
     for (const Scenario &scenario : scenarios) {
+        const unsigned reps = scenario.reps;
+        const unsigned supply = scenario.config.workload.numThreads;
         mt::MtStats stats;
         std::size_t heap_max = 0;
         const auto start = std::chrono::steady_clock::now();
@@ -111,10 +129,13 @@ RR_PERF_FIGURE(perf_events,
         ctx.text(exp::strf("%s: %.2f Mevents/s (heap never exceeded "
                            "%u entries for %u threads)",
                            scenario.name.c_str(), mevents,
-                           static_cast<unsigned>(heap_max), threads));
+                           static_cast<unsigned>(heap_max), supply));
 
         total_events += static_cast<double>(events) * reps;
         total_secs += secs;
+        if (scenario.name.rfind("fig6_sync_twophase", 0) == 0)
+            sync_ns_per_event[supply == kManyThreads] =
+                secs * 1e9 / (static_cast<double>(events) * reps);
     }
     ctx.table("scenarios", "seed-determined totals per scenario "
                            "(identical on every machine)",
@@ -122,4 +143,11 @@ RR_PERF_FIGURE(perf_events,
 
     ctx.text(exp::strf("aggregate: %.2f Mevents/s",
                        total_events / total_secs / 1e6));
+    ctx.text(exp::strf("fig6_sync_twophase host cost: %.0f ns/event at "
+                       "%u threads, %.0f ns/event at %u threads (%.2fx; "
+                       "flat when per-event work is independent of the "
+                       "thread count)",
+                       sync_ns_per_event[0], threads,
+                       sync_ns_per_event[1], kManyThreads,
+                       sync_ns_per_event[1] / sync_ns_per_event[0]));
 }

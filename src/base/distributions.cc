@@ -36,6 +36,10 @@ GeometricDist::GeometricDist(double mean)
     : mean_(mean)
 {
     rr_assert(mean >= 1.0, "geometric mean must be >= 1, got ", mean);
+    if (mean_ > 1.0) {
+        const double p = 1.0 / mean_;
+        logQ_ = std::log(1.0 - p);
+    }
 }
 
 uint64_t
@@ -45,11 +49,10 @@ GeometricDist::sample(Rng &rng) const
     // probability p = 1/mean. ceil(ln U / ln (1-p)) for U in (0, 1).
     if (mean_ <= 1.0)
         return 1;
-    const double p = 1.0 / mean_;
     double u = rng.nextDouble();
     if (u <= 0.0)
         u = 0x1.0p-53;
-    const double v = std::ceil(std::log(u) / std::log(1.0 - p));
+    const double v = std::ceil(std::log(u) / logQ_);
     if (v < 1.0)
         return 1;
     return static_cast<uint64_t>(v);

@@ -73,6 +73,7 @@ class GeometricDist : public Distribution
 
   private:
     double mean_;
+    double logQ_ = 0.0; ///< log(1 - 1/mean), fixed per distribution
 };
 
 /**

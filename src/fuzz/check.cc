@@ -878,6 +878,8 @@ checkLintClaims(const ProgramSample &s, const CpuRun &run,
     for (const CpuRun::Rec &rec : run.trace) {
         if (problems.size() >= 4)
             return;
+        if (!cfg.contains(rec.pc))
+            continue; // ran past the image: lint makes no claim there
         const lint::AbsVal &before = rrm.rrmBefore(rec.pc);
         if (before.kind == lint::AbsVal::Bottom) {
             problems.push_back(strf(

@@ -48,6 +48,10 @@ class ContextPolicy
      * that makes a doomed allocation search unnecessary; only
      * genuine searches are charged the Figure 4 failure cost.
      * Returns 0 when the thread can never fit.
+     *
+     * Must be a pure function of @p regs_used, independent of the
+     * allocation state: MtProcessor evaluates it once per thread and
+     * indexes its thread queue by the result.
      */
     virtual unsigned requiredSpace(unsigned regs_used) const = 0;
 

@@ -123,8 +123,7 @@ void
 MtProcessor::createThreads()
 {
     // Reserve all steady-state storage up front: at most one pending
-    // completion and one queue slot per thread.
-    threadQueue_.reserve(config_.workload.numThreads);
+    // completion per thread.
     completions_.reserve(config_.workload.numThreads);
     rrmIndex_.assign(config_.numRegs, kNoThread);
 
@@ -150,8 +149,60 @@ MtProcessor::createThreads()
         }
         t.remainingWork = t.totalWork;
         t.state = ThreadState::UnloadedReady;
-        threadQueue_.push_back(i);
     }
+    resetIndexes();
+    for (unsigned i = 0; i < config_.workload.numThreads; ++i)
+        queue_.push(i);
+}
+
+void
+MtProcessor::resetIndexes()
+{
+    // requiredSpace is a pure function of regs_used (the ContextPolicy
+    // contract), so it is evaluated once per thread. A thread that can
+    // never fit (0) gets a class no free-register count admits.
+    const unsigned n = static_cast<unsigned>(threads_.size());
+    std::vector<unsigned> space(n);
+    for (unsigned i = 0; i < n; ++i) {
+        space[i] = policy_->requiredSpace(threads_[i].regsUsed);
+        if (space[i] == 0)
+            space[i] = ~0u;
+    }
+    classSpace_ = space;
+    std::sort(classSpace_.begin(), classSpace_.end());
+    classSpace_.erase(std::unique(classSpace_.begin(), classSpace_.end()),
+                      classSpace_.end());
+    for (unsigned &s : space)
+        s = static_cast<unsigned>(
+            std::lower_bound(classSpace_.begin(), classSpace_.end(), s) -
+            classSpace_.begin());
+    const unsigned classes = static_cast<unsigned>(classSpace_.size());
+    queue_.reset(std::move(space), classes);
+    cursor_.assign(classes, ThreadQueue::kEnd);
+
+    spinClock_ = 0;
+    spinBase_.assign(n, 0);
+    blocked_.reset(n);
+}
+
+void
+MtProcessor::indexBlocked(const Thread &t)
+{
+    spinBase_[t.id] = spinClock_;
+    blocked_.push(t.id, spinClock_ + twoPhaseBudget(t));
+}
+
+void
+MtProcessor::unindexBlocked(Thread &t)
+{
+    t.spinAccrued = spinAccruedNow(t);
+    blocked_.erase(t.id);
+}
+
+uint64_t
+MtProcessor::spinAccruedNow(const Thread &t) const
+{
+    return spinClock_ - spinBase_[t.id];
 }
 
 void
@@ -209,6 +260,8 @@ MtProcessor::processCompletions()
         if (t.state == ThreadState::BlockedLoaded) {
             // The context is still resident: it simply becomes
             // runnable again in the ring.
+            if (twoPhase())
+                unindexBlocked(t);
             t.state = ThreadState::LoadedReady;
             ring_.insert(t.context->rrm, t.priority);
         } else {
@@ -223,7 +276,7 @@ MtProcessor::processCompletions()
                 tracer_.emit(e);
             }
             t.state = ThreadState::UnloadedReady;
-            threadQueue_.push_back(t.id);
+            queue_.push(t.id);
             refill();
         }
     }
@@ -253,6 +306,7 @@ MtProcessor::evict(unsigned tid)
     // Two-phase second phase: the accrued cost of failed resume
     // attempts has reached the cost of unloading — give up the
     // registers.
+    unindexBlocked(t);
     const uint32_t rrm = t.context->rrm;
     charge(config_.costs.unloadCost(t.regsUsed), stats_.unloadCycles);
     if (tracer_.enabled()) {
@@ -283,47 +337,50 @@ MtProcessor::evict(unsigned tid)
 void
 MtProcessor::refill()
 {
-    // First-fit scan of the software thread queue: FCFS order, but a
+    // First-fit over the software thread queue: FCFS order, but a
     // thread whose context cannot fit the free registers does not
-    // block smaller threads behind it. (With fixed hardware contexts
-    // every thread needs one identical slot, so this degenerates to
-    // plain FCFS.)
-    auto it = threadQueue_.begin();
-    while (it != threadQueue_.end()) {
+    // block smaller threads behind it. The capacity check is constant
+    // time against the runtime's free-register counter, so a search
+    // that cannot possibly succeed is never attempted and costs
+    // nothing (Figure 4's failed-allocation cost is for genuine
+    // searches defeated by fragmentation).
+    //
+    // The queue keeps one FCFS list per space class, classes in
+    // ascending space. Free registers only fall during a refill, so
+    // the classes that fit are a prefix that only shrinks; merging
+    // their lists by queue stamp visits exactly the threads a scan of
+    // the whole queue would try, in the same order. (With fixed
+    // hardware contexts there is one class: plain FCFS.)
+    const auto fitting = [this](unsigned classes) {
+        const unsigned free = policy_->freeRegs();
+        while (classes > 0 && classSpace_[classes - 1] > free)
+            --classes;
+        return classes;
+    };
+    if (queue_.empty())
+        return;
+    unsigned fit = fitting(queue_.classes());
+    for (unsigned c = 0; c < fit; ++c)
+        cursor_[c] = queue_.head(c);
+
+    for (;;) {
+        const unsigned c = queue_.earliest(cursor_.data(), fit);
+        if (c == ThreadQueue::kEnd)
+            return;
         if (config_.residencyCap != 0 &&
             residentCount_ >= config_.residencyCap) {
             return; // adaptive limit (Section 5.2): leave space idle
         }
-        const unsigned tid = *it;
+        const unsigned tid = cursor_[c];
+        cursor_[c] = queue_.next(tid);
         Thread &t = threads_[tid];
         rr_assert(t.state == ThreadState::UnloadedReady,
                   "queued thread in state ", threadStateName(t.state));
 
-        // Constant-time capacity check against the runtime's free-
-        // register counter: a search that cannot possibly succeed is
-        // never attempted, so it costs nothing. (Figure 4's failed-
-        // allocation cost is for genuine searches defeated by
-        // fragmentation.)
-        const unsigned needed = policy_->requiredSpace(t.regsUsed);
-        if (needed == 0 || needed > policy_->freeRegs()) {
-            ++it;
-            continue;
-        }
-
         const auto context = policy_->allocate(t.regsUsed);
-        if (context) {
-            charge(config_.costs.allocSucceed, stats_.allocCycles);
-            ++stats_.allocSuccesses;
-            if (tracer_.enabled()) {
-                auto e = traceEvent(trace::EventKind::Alloc,
-                                    config_.costs.allocSucceed);
-                e.tid = tid;
-                e.ctx = context->rrm;
-                e.regs = t.regsUsed;
-                tracer_.emit(e);
-            }
-        } else {
-            // A genuine search defeated by fragmentation.
+        if (!context) {
+            // A genuine search defeated by fragmentation; the thread
+            // keeps its place in the queue.
             charge(config_.costs.allocFail, stats_.allocCycles);
             ++stats_.allocFailures;
             if (tracer_.enabled()) {
@@ -334,8 +391,17 @@ MtProcessor::refill()
                 e.regs = t.regsUsed;
                 tracer_.emit(e);
             }
-            ++it;
             continue;
+        }
+        charge(config_.costs.allocSucceed, stats_.allocCycles);
+        ++stats_.allocSuccesses;
+        if (tracer_.enabled()) {
+            auto e = traceEvent(trace::EventKind::Alloc,
+                                config_.costs.allocSucceed);
+            e.tid = tid;
+            e.ctx = context->rrm;
+            e.regs = t.regsUsed;
+            tracer_.emit(e);
         }
 
         charge(config_.costs.queueOp, stats_.queueCycles);
@@ -357,12 +423,13 @@ MtProcessor::refill()
             tracer_.emit(e);
         }
 
-        it = threadQueue_.erase(it);
+        queue_.erase(tid);
         t.context = context;
         t.state = ThreadState::LoadedReady;
         ring_.insert(context->rrm, t.priority);
         rrmInsert(context->rrm, tid);
         noteResidencyChange(+1);
+        fit = fitting(fit);
     }
 }
 
@@ -442,6 +509,8 @@ MtProcessor::runNext()
 
     // Two-phase accounting starts afresh for this blocking episode.
     t.spinAccrued = 0;
+    if (twoPhase())
+        indexBlocked(t);
 
     charge(config_.costs.contextSwitch, stats_.switchCycles);
     if (tracer_.enabled()) {
@@ -478,32 +547,23 @@ MtProcessor::idleOrEvict()
     // Two-phase: while the processor spins with nothing runnable,
     // the scheduler repeatedly polls the blocked resident contexts;
     // each accrues a 1/N share of the spin time. The first context
-    // whose accrual would reach its waiting budget is unloaded at a
-    // computable instant — but only when a queued thread could use
-    // the freed registers.
-    bool have_evict = false;
-    uint64_t evict_time = 0;
+    // whose accrual would reach its waiting budget (the budget heap's
+    // top) is unloaded at a computable instant — but only when a
+    // thread is queued to use the freed registers.
+    const unsigned num_blocked_loaded =
+        twoPhase() && !queue_.empty() ? blocked_.size() : 0;
+    const bool have_evict = num_blocked_loaded > 0;
     unsigned evict_tid = 0;
-    unsigned num_blocked_loaded = 0;
-
-    if (config_.unloadPolicy == UnloadPolicyKind::TwoPhase &&
-        !threadQueue_.empty()) {
-        uint64_t best_remaining = 0;
-        for (const Thread &t : threads_) {
-            if (t.state != ThreadState::BlockedLoaded)
-                continue;
-            ++num_blocked_loaded;
-            const uint64_t budget = twoPhaseBudget(t);
-            const uint64_t remaining =
-                budget > t.spinAccrued ? budget - t.spinAccrued : 0;
-            if (!have_evict || remaining < best_remaining) {
-                best_remaining = remaining;
-                evict_tid = t.id;
-                have_evict = true;
-            }
-        }
-        if (have_evict)
-            evict_time = now_ + best_remaining * num_blocked_loaded;
+    uint64_t evict_time = 0;
+    if (have_evict) {
+        evict_tid = blocked_.top();
+        // The clock never passes a budget: each interval ends no
+        // later than the earliest budget runs out.
+        const uint64_t budget_end = blocked_.key(evict_tid);
+        rr_assert(budget_end >= spinClock_, "spin accrual passed a "
+                  "two-phase budget");
+        evict_time =
+            now_ + (budget_end - spinClock_) * num_blocked_loaded;
     }
 
     if (!have_completion && !have_evict) {
@@ -525,12 +585,8 @@ MtProcessor::idleOrEvict()
     // The spin interval is wasted processor time; accrue the
     // round-robin poll shares against the blocked residents.
     const uint64_t interval = until - now_;
-    if (num_blocked_loaded > 0) {
-        for (Thread &t : threads_) {
-            if (t.state == ThreadState::BlockedLoaded)
-                t.spinAccrued += interval / num_blocked_loaded;
-        }
-    }
+    if (num_blocked_loaded > 0)
+        spinClock_ += interval / num_blocked_loaded;
     stats_.idleCycles += interval;
     now_ = until;
 
@@ -544,7 +600,7 @@ MtProcessor::idleOrEvict()
         if (tracer_.enabled()) {
             auto e = traceEvent(trace::EventKind::UnloadDecision, 0);
             e.tid = evict_tid;
-            e.aux = threads_[evict_tid].spinAccrued;
+            e.aux = spinAccruedNow(threads_[evict_tid]);
             tracer_.emit(e);
         }
         evict(evict_tid);
@@ -717,13 +773,7 @@ MtProcessor::saveState(ckpt::Writer &writer) const
     writer.u64(kProcUseful, useful_);
     writer.u64(kProcFinished, finished_);
     writer.u64(kProcEventIndex, eventIndex_);
-    {
-        std::vector<uint32_t> queue;
-        queue.reserve(threadQueue_.size());
-        for (const unsigned tid : threadQueue_)
-            queue.push_back(tid);
-        writer.u32vec(kProcThreadQueue, queue);
-    }
+    writer.u32vec(kProcThreadQueue, queue_.fcfs());
     const unsigned levels = std::max(1u, config_.priorityLevels);
     writer.u64(kProcRingLevels, levels);
     for (unsigned l = 0; l < levels; ++l) {
@@ -731,10 +781,7 @@ MtProcessor::saveState(ckpt::Writer &writer) const
         // appends at the tail, so re-inserting this sequence in
         // order reproduces both the ring linkage and the current
         // pointer exactly.
-        writer.u32vec(kProcRingBase + l,
-                      const_cast<runtime::PriorityRing &>(ring_)
-                          .level(l)
-                          .members());
+        writer.u32vec(kProcRingBase + l, ring_.level(l).members());
     }
     writer.u64(kProcResidentCount, residentCount_);
     writer.u64(kProcLastResidencyTime, lastResidencyTime_);
@@ -781,7 +828,10 @@ MtProcessor::saveState(ckpt::Writer &writer) const
         faultCompletion.push_back(t.faultCompletion);
         blockedAt.push_back(t.blockedAt);
         blockEpoch.push_back(t.blockEpoch);
-        spinAccrued.push_back(t.spinAccrued);
+        spinAccrued.push_back(
+            twoPhase() && t.state == ThreadState::BlockedLoaded
+                ? spinAccruedNow(t)
+                : t.spinAccrued);
         faults.push_back(t.faults);
         timesLoaded.push_back(t.timesLoaded);
         timesUnloaded.push_back(t.timesUnloaded);
@@ -956,25 +1006,52 @@ MtProcessor::restoreState(const ckpt::Reader &reader)
         if (t.context)
             rrmInsert(t.context->rrm, t.id);
 
-    threadQueue_.clear();
-    threadQueue_.reserve(numThreads);
+    // The queue lists exactly the unloaded, ready threads, each once;
+    // re-pushing it in FCFS order re-stamps the same relative order.
+    resetIndexes();
+    std::vector<bool> inQueue(numThreads, false);
     for (const uint32_t tid :
          reader.u32vec(kSectionProc, kProcThreadQueue)) {
-        if (tid >= numThreads)
+        if (tid >= numThreads || inQueue[tid] ||
+            threads_[tid].state != ThreadState::UnloadedReady)
             throw ckpt::Error("thread queue names thread " +
-                              std::to_string(tid));
-        threadQueue_.push_back(tid);
+                              std::to_string(tid) +
+                              " twice or outside the ready state");
+        inQueue[tid] = true;
+        queue_.push(tid);
+    }
+    if (static_cast<std::ptrdiff_t>(queue_.size()) !=
+        std::count_if(threads_.begin(), threads_.end(),
+                      [](const Thread &t) {
+                          return t.state == ThreadState::UnloadedReady;
+                      }))
+        throw ckpt::Error("thread queue misses a ready thread");
+
+    // Rebase the spin clock so every blocked, loaded thread's accrual
+    // is the clock minus its base; a budget already overrun is a
+    // state no run can reach.
+    if (twoPhase()) {
+        for (const Thread &t : threads_)
+            if (t.state == ThreadState::BlockedLoaded)
+                spinClock_ = std::max(spinClock_, t.spinAccrued);
+        for (const Thread &t : threads_) {
+            if (t.state != ThreadState::BlockedLoaded)
+                continue;
+            if (!t.context || t.spinAccrued > twoPhaseBudget(t))
+                throw ckpt::Error(
+                    "blocked thread " + std::to_string(t.id) +
+                    " has no context or overran its budget");
+            spinBase_[t.id] = spinClock_ - t.spinAccrued;
+            blocked_.push(t.id, spinBase_[t.id] + twoPhaseBudget(t));
+        }
     }
 
     const unsigned levels = std::max(1u, config_.priorityLevels);
     if (reader.u64(kSectionProc, kProcRingLevels) != levels)
         throw ckpt::Error(
             "priority level count does not match the configuration");
-    std::vector<bool> queued(rrmIndex_.size(), false);
+    ring_ = runtime::PriorityRing(levels);
     for (unsigned l = 0; l < levels; ++l) {
-        runtime::ContextRing &ring = ring_.level(l);
-        for (const uint32_t rrm : ring.members())
-            ring.remove(rrm);
         for (const uint32_t rrm :
              reader.u32vec(kSectionProc, kProcRingBase + l)) {
             if (rrm >= rrmIndex_.size() ||
@@ -982,11 +1059,10 @@ MtProcessor::restoreState(const ckpt::Reader &reader)
                 throw ckpt::Error(
                     "ring references rrm " + std::to_string(rrm) +
                     " with no resident context");
-            if (queued[rrm])
+            if (ring_.levelOf(rrm) >= 0)
                 throw ckpt::Error("ring lists rrm " +
                                   std::to_string(rrm) + " twice");
-            queued[rrm] = true;
-            ring.insert(rrm);
+            ring_.insert(rrm, l);
         }
     }
 

@@ -48,6 +48,7 @@
 #include "multithread/context_policy.hh"
 #include "multithread/event_core.hh"
 #include "multithread/fault_model.hh"
+#include "multithread/sched_index.hh"
 #include "multithread/thread.hh"
 #include "runtime/context_ring.hh"
 #include "runtime/cost_model.hh"
@@ -285,6 +286,28 @@ class MtProcessor : public ckpt::Restorable
     void createThreads();
     std::unique_ptr<ContextPolicy> makePolicy() const;
 
+    /**
+     * Size the two scheduler indexes for the thread table: group the
+     * threads into space classes (requiredSpace is evaluated once per
+     * thread here) and empty the queue and the budget heap.
+     */
+    void resetIndexes();
+
+    /** @return true when the two-phase budget heap is maintained. */
+    bool twoPhase() const
+    {
+        return config_.unloadPolicy == UnloadPolicyKind::TwoPhase;
+    }
+
+    /** Enter BlockedLoaded under two-phase: index the budget. */
+    void indexBlocked(const Thread &t);
+
+    /** Leave BlockedLoaded: materialize spinAccrued, unindex. */
+    void unindexBlocked(Thread &t);
+
+    /** Spin cycles accrued by blocked, loaded thread @p t so far. */
+    uint64_t spinAccruedNow(const Thread &t) const;
+
     /** Event template stamped with the architecture and current time. */
     trace::TraceEvent traceEvent(trace::EventKind kind,
                                  uint64_t cycles) const;
@@ -337,13 +360,32 @@ class MtProcessor : public ckpt::Restorable
     bool begun_ = false;
     uint64_t eventIndex_ = 0;
 
-    // Zero-allocation steady state: the rrm index is a flat array
-    // over register numbers, the software thread queue a reserved
-    // vector, and the completion heap an EventCore — all sized up
-    // front in createThreads(), so the event loop never allocates.
+    // Every scheduler structure is a flat array sized up front in
+    // createThreads() / restoreState(): the rrm index over register
+    // numbers, the space-class thread queue, the budget heap and the
+    // completion EventCore. Scheduling never allocates; only the
+    // IntervalRecorder grows, by one sample per event.
     runtime::PriorityRing ring_{1};
     std::vector<unsigned> rrmIndex_;
-    std::vector<unsigned> threadQueue_;
+
+    /** The software thread queue, one FCFS list per space class. */
+    ThreadQueue queue_;
+    /** Required context space per class, ascending (0 = ~0u: never). */
+    std::vector<unsigned> classSpace_;
+    /** refill() scratch: the next candidate of each fitting class. */
+    std::vector<unsigned> cursor_;
+
+    /**
+     * Two-phase spin accounting. Every blocked, loaded context accrues
+     * the same share of each spin interval, so one processor-wide
+     * clock sums the shares and a thread's accrual is the clock minus
+     * its value when the thread blocked (spinBase_). blocked_ orders
+     * those threads by the clock value at which their waiting budget
+     * runs out, lowest thread id first on ties.
+     */
+    uint64_t spinClock_ = 0;
+    std::vector<uint64_t> spinBase_;
+    BudgetHeap blocked_;
 
     EventCore completions_;
 

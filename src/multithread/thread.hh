@@ -91,7 +91,10 @@ struct Thread
      * processor spins with nothing runnable, each blocked resident
      * context accrues its share of the spin time; the context is
      * unloaded when the accrual reaches the cost of unloading and
-     * blocking it.
+     * blocking it. Under two-phase unloading the live value of a
+     * blocked, loaded thread is held by the processor's spin clock;
+     * this field is brought up to date when the thread leaves that
+     * state and in every snapshot.
      */
     uint64_t spinAccrued = 0;
 

@@ -8,7 +8,13 @@ void
 ContextRing::insert(uint32_t rrm)
 {
     rr_assert(!contains(rrm), "rrm ", rrm, " already in ring");
-    if (next_.empty()) {
+    rr_assert(rrm != kAbsent, "rrm ", rrm, " is reserved");
+    if (rrm >= next_.size()) {
+        next_.resize(rrm + 1, kAbsent);
+        prev_.resize(rrm + 1, kAbsent);
+    }
+    ++size_;
+    if (size_ == 1) {
         next_[rrm] = rrm;
         prev_[rrm] = rrm;
         current_ = rrm;
@@ -28,23 +34,21 @@ ContextRing::insert(uint32_t rrm)
 void
 ContextRing::remove(uint32_t rrm)
 {
-    const auto it = next_.find(rrm);
-    rr_assert(it != next_.end(), "rrm ", rrm, " not in ring");
+    rr_assert(contains(rrm), "rrm ", rrm, " not in ring");
 
-    const uint32_t succ = it->second;
+    const uint32_t succ = next_[rrm];
     const uint32_t pred = prev_[rrm];
+    next_[rrm] = kAbsent;
+    prev_[rrm] = kAbsent;
+    --size_;
 
     if (succ == rrm) {
         // Last member.
-        next_.clear();
-        prev_.clear();
         current_ = 0;
         return;
     }
     next_[pred] = succ;
     prev_[succ] = pred;
-    next_.erase(rrm);
-    prev_.erase(rrm);
     if (current_ == rrm)
         current_ = succ;
 }
@@ -60,16 +64,15 @@ uint32_t
 ContextRing::advance()
 {
     rr_assert(!empty(), "ring is empty");
-    current_ = next_.at(current_);
+    current_ = next_[current_];
     return current_;
 }
 
 uint32_t
 ContextRing::nextOf(uint32_t rrm) const
 {
-    const auto it = next_.find(rrm);
-    rr_assert(it != next_.end(), "rrm ", rrm, " not in ring");
-    return it->second;
+    rr_assert(contains(rrm), "rrm ", rrm, " not in ring");
+    return next_[rrm];
 }
 
 std::vector<uint32_t>
@@ -81,7 +84,7 @@ ContextRing::members() const
     uint32_t at = current_;
     do {
         out.push_back(at);
-        at = next_.at(at);
+        at = next_[at];
     } while (at != current_);
     return out;
 }
@@ -98,6 +101,9 @@ PriorityRing::insert(uint32_t rrm, unsigned level)
     rr_assert(level < rings_.size(), "bad priority level ", level);
     rr_assert(levelOf(rrm) < 0, "rrm ", rrm, " already queued");
     rings_[level].insert(rrm);
+    if (rrm >= levelOf_.size())
+        levelOf_.resize(rrm + 1, -1);
+    levelOf_[rrm] = static_cast<int>(level);
 }
 
 void
@@ -106,6 +112,7 @@ PriorityRing::remove(uint32_t rrm)
     const int level = levelOf(rrm);
     rr_assert(level >= 0, "rrm ", rrm, " not queued");
     rings_[static_cast<unsigned>(level)].remove(rrm);
+    levelOf_[rrm] = -1;
 }
 
 bool
@@ -150,15 +157,11 @@ PriorityRing::advance()
 int
 PriorityRing::levelOf(uint32_t rrm) const
 {
-    for (size_t i = 0; i < rings_.size(); ++i) {
-        if (rings_[i].contains(rrm))
-            return static_cast<int>(i);
-    }
-    return -1;
+    return rrm < levelOf_.size() ? levelOf_[rrm] : -1;
 }
 
-ContextRing &
-PriorityRing::level(unsigned level)
+const ContextRing &
+PriorityRing::level(unsigned level) const
 {
     rr_assert(level < rings_.size(), "bad priority level ", level);
     return rings_[level];

@@ -15,23 +15,30 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace rr::runtime {
 
-/** Circular list of context relocation masks. */
+/**
+ * Circular list of context relocation masks. RRMs are small dense
+ * integers (register numbers), so the links are flat arrays indexed
+ * by RRM that grow on demand to the largest member seen.
+ */
 class ContextRing
 {
   public:
     /** @return true when the ring has no members. */
-    bool empty() const { return next_.empty(); }
+    bool empty() const { return size_ == 0; }
 
     /** Number of members. */
-    size_t size() const { return next_.size(); }
+    size_t size() const { return size_; }
 
     /** @return true when @p rrm is in the ring. */
-    bool contains(uint32_t rrm) const { return next_.count(rrm) != 0; }
+    bool
+    contains(uint32_t rrm) const
+    {
+        return rrm < next_.size() && next_[rrm] != kAbsent;
+    }
 
     /**
      * Insert @p rrm immediately after the current member (so it is
@@ -62,8 +69,12 @@ class ContextRing
     std::vector<uint32_t> members() const;
 
   private:
-    std::unordered_map<uint32_t, uint32_t> next_; ///< rrm -> NextRRM
-    std::unordered_map<uint32_t, uint32_t> prev_; ///< rrm -> previous
+    /** Link value of an RRM that is not a member. */
+    static constexpr uint32_t kAbsent = ~0u;
+
+    std::vector<uint32_t> next_; ///< rrm -> NextRRM (kAbsent = out)
+    std::vector<uint32_t> prev_; ///< rrm -> previous
+    size_t size_ = 0;
     uint32_t current_ = 0;
 };
 
@@ -106,11 +117,12 @@ class PriorityRing
     /** Level that holds @p rrm, or -1. */
     int levelOf(uint32_t rrm) const;
 
-    /** Direct access to a level's ring. */
-    ContextRing &level(unsigned level);
+    /** Read access to a level's ring. */
+    const ContextRing &level(unsigned level) const;
 
   private:
     std::vector<ContextRing> rings_;
+    std::vector<int> levelOf_; ///< rrm -> level, -1 when not queued
 };
 
 } // namespace rr::runtime

@@ -326,6 +326,97 @@ TEST(CkptMt, SnapshotIsByteStableAcrossRestore)
     EXPECT_EQ(doc, restored.snapshot()); // restore loses nothing
 }
 
+// Two-phase runs keep scheduler state outside the thread table: the
+// spin clock with its budget heap, and the space-class thread queue.
+// A snapshot must materialize both and a restore rebuild both at any
+// event boundary, mid-accrual and with threads queued in several
+// space classes, under every architecture, a residency cap and two
+// priority levels.
+TEST(CkptMt, TwoPhaseSplitPointsResumeAndResnapshotExactly)
+{
+    // The thread section of the "mt" document (docs/CKPT.md): field 2
+    // holds each thread's state, field 13 its accrued spin cycles.
+    constexpr uint32_t kThreads = 0x41, kState = 2, kSpin = 13;
+    constexpr uint32_t kBlockedLoaded =
+        static_cast<uint32_t>(mt::ThreadState::BlockedLoaded);
+
+    const auto base = [] {
+        return SimulationSpec()
+            .syncFaults(30, 400)
+            .threads(40)
+            .workPerThread(1200)
+            .registerDemand(4, 32)
+            .numRegs(64)
+            .twoPhaseUnload();
+    };
+    const std::pair<const char *, SimulationSpec> specs[] = {
+        {"flexible", base().seed(2)},
+        {"fixed", base().arch(ArchKind::FixedHw).seed(3)},
+        {"add", base().arch(ArchKind::AddReloc).seed(4)},
+        {"cap", base().residencyCap(3).seed(5)},
+        {"priorities",
+         base().priorities(2, makeUniformInt(0, 1)).seed(6)},
+    };
+
+    for (const auto &[name, spec] : specs) {
+        SCOPED_TRACE(name);
+        struct Split
+        {
+            std::size_t events;
+            std::vector<uint8_t> doc;
+        };
+        std::vector<Split> splits;
+        unsigned queuedSplits = 0, accruingSplits = 0;
+
+        VectorSink straightSink;
+        SimulationSpec straightSpec = spec;
+        MtProcessor straight(straightSpec.traceSink(&straightSink).build());
+        straight.begin();
+        while (!straight.done()) {
+            if (straight.eventIndex() % 41 == 0) {
+                splits.push_back(
+                    {straightSink.events().size(), straight.snapshot()});
+                const ckpt::Reader reader(splits.back().doc);
+                const std::vector<uint32_t> state =
+                    reader.u32vec(kThreads, kState);
+                const std::vector<uint64_t> spin =
+                    reader.u64vec(kThreads, kSpin);
+                bool queued = false, accruing = false;
+                for (std::size_t i = 0; i < state.size(); ++i) {
+                    queued |= state[i] == static_cast<uint32_t>(
+                                              mt::ThreadState::UnloadedReady);
+                    accruing |= state[i] == kBlockedLoaded && spin[i] > 0;
+                }
+                queuedSplits += queued;
+                accruingSplits += accruing;
+            }
+            straight.step();
+        }
+        const MtStats straightStats = straight.finish();
+        EXPECT_GT(straightStats.unloads, 0u);
+        EXPECT_GE(queuedSplits, 3u);
+        EXPECT_GE(accruingSplits, 3u);
+
+        for (const Split &split : splits) {
+            SCOPED_TRACE("split after " + std::to_string(split.events) +
+                         " trace events");
+            VectorSink tailSink;
+            SimulationSpec tailSpec = spec;
+            MtProcessor tail(tailSpec.traceSink(&tailSink).build());
+            tail.restore(split.doc);
+            ASSERT_EQ(tail.snapshot(), split.doc);
+            expectSameStats(straightStats, tail.run());
+
+            const std::vector<TraceEvent> &all = straightSink.events();
+            ASSERT_EQ(all.size(), split.events + tailSink.events().size());
+            for (std::size_t i = 0; i < tailSink.events().size(); ++i)
+                expectSameEvent(all[split.events + i],
+                                tailSink.events()[i],
+                                split.events + i);
+        }
+    }
+}
+
 TEST(CkptMt, ResumeViaConfigReproducesFinalStats)
 {
     const std::string path =

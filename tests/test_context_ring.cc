@@ -240,7 +240,8 @@ TEST(PriorityRing, DirectLevelAccessSeesSameRing)
     rings.insert(7, 1);
     EXPECT_TRUE(rings.level(0).empty());
     EXPECT_EQ(rings.level(1).current(), 7u);
-    rings.level(1).remove(7);
+    rings.remove(7);
+    EXPECT_TRUE(rings.level(1).empty());
     EXPECT_TRUE(rings.empty());
     EXPECT_EQ(rings.levelOf(7), -1);
 }

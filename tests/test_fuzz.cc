@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "fuzz/fuzz.hh"
+#include "isa/instruction.hh"
 
 namespace rr::fuzz {
 namespace {
@@ -199,6 +200,28 @@ degeneratePhaseSample()
     s.numRegs = 128;
     s.seed = 3;
     return s;
+}
+
+// A program with no HALT runs past the end of its image into zeroed
+// memory. The lint oracle makes no claim there, so the check must
+// skip those records and report on the rest, not assert inside the
+// RRM analysis (which only knows addresses in the image).
+TEST(FuzzCheck, ProgramRunningPastItsImageIsReportedNotAborted)
+{
+    ProgramSample s;
+    s.lintChecked = true;
+    s.memWords = 64;
+    s.maxSteps = 40;
+    isa::Instruction addi;
+    addi.op = isa::Opcode::ADDI;
+    addi.rd = 1;
+    addi.rs1 = 1;
+    addi.imm = 1;
+    s.words = {isa::encode(addi), isa::encode(addi)};
+
+    const Problems problems = checkSample(AnySample{s});
+    EXPECT_TRUE(problems.empty())
+        << (problems.empty() ? "" : problems.front());
 }
 
 TEST(FuzzShrink, PassingSampleReturnedUnchanged)

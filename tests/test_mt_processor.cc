@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include "base/distributions.hh"
 #include "base/stats.hh"
 #include "multithread/mt_processor.hh"
 #include "multithread/simulation_spec.hh"
 #include "multithread/workload.hh"
+#include "trace/sink.hh"
 
 namespace rr::mt {
 namespace {
@@ -296,6 +298,108 @@ TEST(MtProcessor, CompletionHeapBoundedUnderSyncFaults)
     EXPECT_LE(processor.completionCore().maxSize(), 48u);
     EXPECT_EQ(processor.completionCore().compactions(), 0u);
     EXPECT_TRUE(processor.completionCore().empty());
+}
+
+/** A FlexibleContextPolicy that counts its capacity queries. */
+class CountingPolicy : public FlexibleContextPolicy
+{
+  public:
+    CountingPolicy(unsigned *required, unsigned long long *free)
+        : FlexibleContextPolicy(128, 5, 4), required_(required),
+          free_(free)
+    {
+    }
+
+    unsigned
+    requiredSpace(unsigned regs_used) const override
+    {
+        ++*required_;
+        return FlexibleContextPolicy::requiredSpace(regs_used);
+    }
+
+    unsigned
+    freeRegs() const override
+    {
+        ++*free_;
+        return FlexibleContextPolicy::freeRegs();
+    }
+
+  private:
+    unsigned *required_;
+    unsigned long long *free_;
+};
+
+// The two-phase path must not scan the threads or the queue on each
+// event: requiredSpace is cached per thread, and the capacity check
+// runs a bounded number of times per event whatever the thread count
+// (a first-fit scan of the whole queue made it tens per event here).
+TEST(MtProcessor, TwoPhaseWorkPerEventIndependentOfThreadCount)
+{
+    unsigned required = 0;
+    unsigned long long free = 0;
+    MtConfig config = SimulationSpec()
+                          .syncFaults(100.0, 1000.0)
+                          .threads(1024)
+                          .workPerThread(2000)
+                          .customPolicy([&] {
+                              return std::make_unique<CountingPolicy>(
+                                  &required, &free);
+                          })
+                          .build();
+    MtProcessor processor(std::move(config));
+    const MtStats stats = processor.run();
+    EXPECT_EQ(stats.threadsFinished, 1024u);
+    EXPECT_GT(stats.unloads, 0u);
+    EXPECT_EQ(required, 1024u);
+    EXPECT_LE(static_cast<double>(free),
+              2.0 * static_cast<double>(processor.eventIndex()));
+}
+
+/** Priority 1 for the first thread drawn, 0 for every later one. */
+class FirstThreadLow : public Distribution
+{
+  public:
+    uint64_t sample(Rng &) const override { return drawn_++ == 0; }
+    double mean() const override { return 0.0; }
+    std::string describe() const override { return "first-low"; }
+
+  private:
+    mutable unsigned drawn_ = 0;
+};
+
+// Equal remaining budgets evict the lowest thread id. Four identical
+// threads fill the four fixed slots; thread 0 has the low priority,
+// so it runs and blocks last. No spin time passes before all four are
+// blocked, so all four budgets tie, and thread 0 must go first.
+TEST(MtProcessor, TwoPhaseTieEvictsLowestThreadId)
+{
+    trace::VectorSink sink;
+    MtConfig config = SimulationSpec()
+                          .deterministicFaults(50, 100000)
+                          .threads(8)
+                          .registerDemand(16)
+                          .arch(ArchKind::FixedHw)
+                          .numRegs(128)
+                          .twoPhaseUnload()
+                          .priorities(2, std::make_shared<FirstThreadLow>())
+                          .traceSink(&sink)
+                          .build();
+    MtProcessor processor(std::move(config));
+    processor.run();
+
+    std::vector<unsigned> blockOrder;
+    const trace::TraceEvent *decision = nullptr;
+    for (const trace::TraceEvent &e : sink.events()) {
+        if (e.kind == trace::EventKind::FaultIssue && blockOrder.size() < 4)
+            blockOrder.push_back(e.tid);
+        if (e.kind == trace::EventKind::UnloadDecision) {
+            decision = &e;
+            break;
+        }
+    }
+    ASSERT_EQ(blockOrder, (std::vector<unsigned>{1, 2, 3, 0}));
+    ASSERT_NE(decision, nullptr);
+    EXPECT_EQ(decision->tid, 0u);
 }
 
 } // namespace
