@@ -8,6 +8,11 @@
  * The Figure 6 scenario runs again at 1024 threads, and a note
  * compares its host ns/event with the small run's, so a per-event
  * cost that grows with the thread count shows up next to the totals.
+ * The Figure 5 scenario runs again with a trace::TraceAuditor
+ * attached and reconciled, and a note gives the audited/unaudited
+ * ns/event; another times an rr.ckpt.v1 snapshot and restore of the
+ * 1024-thread run at its midpoint next to a bare FNV-1a pass over the
+ * same bytes, the floor both sides pay for the checksum.
  *
  * As in bench_perf_interp, only deterministic counters enter the
  * compared table — total cycles, event counts, and the heap bound,
@@ -17,13 +22,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "base/table.hh"
+#include "ckpt/io.hh"
 #include "exp/registry.hh"
 #include "multithread/mt_processor.hh"
 #include "multithread/simulation_spec.hh"
+#include "trace/audit.hh"
 
 namespace {
 
@@ -43,7 +51,28 @@ struct Scenario
     std::string name;
     mt::MtConfig config;
     unsigned reps;
+    bool audited = false; ///< stream into a reconciled TraceAuditor
 };
+
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::max(std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count(),
+                    1e-9);
+}
+
+/** Host microseconds per call of @p fn over @p reps calls. */
+template <typename Fn>
+double
+microsPerCall(unsigned reps, Fn fn)
+{
+    const auto start = std::chrono::steady_clock::now();
+    for (unsigned rep = 0; rep < reps; ++rep)
+        fn();
+    return secondsSince(start) * 1e6 / reps;
+}
 
 /** The Figure 6-style scenario: sync faults, two-phase unloading. */
 mt::MtConfig
@@ -57,6 +86,48 @@ syncTwoPhase(unsigned threads)
         .twoPhaseUnload()
         .seed(1)
         .build();
+}
+
+/**
+ * Snapshot and restore host time of @p config at event @p midpoint,
+ * next to one FNV-1a pass over the same bytes: the floor both sides
+ * pay for the checksum.
+ */
+std::string
+checkpointCost(const char *name, const mt::MtConfig &config,
+               uint64_t midpoint)
+{
+    constexpr unsigned kReps = 20;
+    mt::MtProcessor head(config);
+    head.begin();
+    while (!head.done() && head.eventIndex() < midpoint)
+        head.step();
+    const std::vector<uint8_t> doc = head.snapshot();
+    const double snapshot_us =
+        microsPerCall(kReps, [&] { (void)head.snapshot(); });
+
+    std::vector<std::unique_ptr<mt::MtProcessor>> fresh;
+    for (unsigned rep = 0; rep < kReps; ++rep)
+        fresh.push_back(std::make_unique<mt::MtProcessor>(config));
+    std::size_t next = 0;
+    const double restore_us =
+        microsPerCall(kReps, [&] { fresh[next++]->restore(doc); });
+
+    volatile uint64_t hash = 0;
+    const double hash_us = microsPerCall(kReps, [&] {
+        hash = ckpt::fnv1a(doc.data(), doc.size());
+    });
+
+    const double bytes = static_cast<double>(doc.size());
+    return exp::strf(
+        "%s checkpoint at event %llu (%zu bytes): snapshot %.0f us "
+        "(%.2f ns/byte), restore %.0f us (%.2f ns/byte), fnv1a alone "
+        "%.0f us (%.2f ns/byte); snapshot %.2fx and restore %.2fx the "
+        "fnv1a pass",
+        name, static_cast<unsigned long long>(head.eventIndex()),
+        doc.size(), snapshot_us, snapshot_us * 1e3 / bytes, restore_us,
+        restore_us * 1e3 / bytes, hash_us, hash_us * 1e3 / bytes,
+        snapshot_us / hash_us, restore_us / hash_us);
 }
 
 } // namespace
@@ -79,18 +150,17 @@ RR_PERF_FIGURE(perf_events,
                        "throughput.",
                        threads, reps, kManyThreads));
 
+    const mt::MtConfig cacheNever = mt::SimulationSpec()
+                                        .threads(threads)
+                                        .workPerThread(40'000)
+                                        .registerDemand(8, 24)
+                                        .cacheFaults(50.0, 200)
+                                        .neverUnload()
+                                        .seed(1)
+                                        .build();
     std::vector<Scenario> scenarios;
-    scenarios.push_back(
-        {"fig5_cache_never",
-         mt::SimulationSpec()
-             .threads(threads)
-             .workPerThread(40'000)
-             .registerDemand(8, 24)
-             .cacheFaults(50.0, 200)
-             .neverUnload()
-             .seed(1)
-             .build(),
-         reps});
+    scenarios.push_back({"fig5_cache_never", cacheNever, reps});
+    scenarios.push_back({"fig5_cache_audited", cacheNever, reps, true});
     scenarios.push_back(
         {"fig6_sync_twophase", syncTwoPhase(threads), reps});
     scenarios.push_back({"fig6_sync_twophase_t1024",
@@ -100,6 +170,9 @@ RR_PERF_FIGURE(perf_events,
                  "unloads", "heap max"});
     double total_events = 0.0, total_secs = 0.0;
     double sync_ns_per_event[2] = {0.0, 0.0}; // few threads, many
+    double cache_ns_per_event[2] = {0.0, 0.0}; // unaudited, audited
+    std::size_t audit_violations = 0;
+    uint64_t many_events = 0; // event-loop length at 1024 threads
 
     for (const Scenario &scenario : scenarios) {
         const unsigned reps = scenario.reps;
@@ -108,14 +181,19 @@ RR_PERF_FIGURE(perf_events,
         std::size_t heap_max = 0;
         const auto start = std::chrono::steady_clock::now();
         for (unsigned rep = 0; rep < reps; ++rep) {
-            mt::MtProcessor processor(scenario.config);
+            mt::MtConfig config = scenario.config;
+            trace::TraceAuditor auditor(config.costs);
+            if (scenario.audited)
+                config.traceSink = &auditor;
+            mt::MtProcessor processor(config);
             stats = processor.run();
             heap_max = processor.completionCore().maxSize();
+            many_events = processor.eventIndex();
+            if (scenario.audited)
+                audit_violations +=
+                    auditor.reconcile(mt::auditTotals(stats)).size();
         }
-        const auto stop = std::chrono::steady_clock::now();
-        const double secs = std::max(
-            std::chrono::duration<double>(stop - start).count(),
-            1e-9);
+        const double secs = secondsSince(start);
 
         const uint64_t events = eventCount(stats);
         table.addRow({scenario.name, Table::num(stats.totalCycles),
@@ -133,9 +211,12 @@ RR_PERF_FIGURE(perf_events,
 
         total_events += static_cast<double>(events) * reps;
         total_secs += secs;
+        const double ns_per_event =
+            secs * 1e9 / (static_cast<double>(events) * reps);
         if (scenario.name.rfind("fig6_sync_twophase", 0) == 0)
-            sync_ns_per_event[supply == kManyThreads] =
-                secs * 1e9 / (static_cast<double>(events) * reps);
+            sync_ns_per_event[supply == kManyThreads] = ns_per_event;
+        if (scenario.name.rfind("fig5_cache", 0) == 0)
+            cache_ns_per_event[scenario.audited] = ns_per_event;
     }
     ctx.table("scenarios", "seed-determined totals per scenario "
                            "(identical on every machine)",
@@ -150,4 +231,28 @@ RR_PERF_FIGURE(perf_events,
                        sync_ns_per_event[0], threads,
                        sync_ns_per_event[1], kManyThreads,
                        sync_ns_per_event[1] / sync_ns_per_event[0]));
+    ctx.text(exp::strf("fig5_cache audit cost: %.0f ns/event unaudited, "
+                       "%.0f ns/event with a TraceAuditor attached "
+                       "(%.2fx; %zu violation(s))",
+                       cache_ns_per_event[0], cache_ns_per_event[1],
+                       cache_ns_per_event[1] / cache_ns_per_event[0],
+                       audit_violations));
+
+    // Checkpoint cost at the midpoint of 1024-thread two-phase runs:
+    // the scenario above, and the sync_scale shape (three faults a
+    // thread, fixed 32-register contexts) whose documents hold mostly
+    // per-thread state rather than the interval recorder.
+    ctx.text(checkpointCost("fig6_sync_twophase_t1024",
+                            syncTwoPhase(kManyThreads), many_events / 2));
+    ctx.text(checkpointCost("sync_scale_fixed_t1024",
+                            mt::SimulationSpec()
+                                .threads(kManyThreads)
+                                .workPerThread(300)
+                                .registerDemand(8, 24)
+                                .syncFaults(100.0, 1'000.0)
+                                .twoPhaseUnload()
+                                .arch(mt::ArchKind::FixedHw)
+                                .seed(1)
+                                .build(),
+                            kManyThreads * 3 / 2));
 }

@@ -1,5 +1,6 @@
 #include "ckpt/io.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -23,6 +24,26 @@ hex(uint64_t v)
     std::snprintf(buf, sizeof buf, "0x%llx",
                   static_cast<unsigned long long>(v));
     return buf;
+}
+
+/** Stores @p v at @p out, little-endian. */
+template <typename T>
+void
+storeLe(uint8_t *out, T v)
+{
+    for (size_t i = 0; i < sizeof v; ++i)
+        out[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+/** Loads a little-endian T from @p in. */
+template <typename T>
+T
+loadLe(const uint8_t *in)
+{
+    T v = 0;
+    for (size_t i = 0; i < sizeof v; ++i)
+        v |= static_cast<T>(in[i]) << (8 * i);
+    return v;
 }
 
 const char *
@@ -55,24 +76,27 @@ fnv1a(const uint8_t *data, size_t size)
 // ---------------------------------------------------------------------
 // Writer
 
-void
-Writer::putU8(uint8_t v)
+Writer::Writer() : doc_(kMagic, kMagic + sizeof kMagic) {}
+
+/** Appends @p count bytes for the caller to fill; one resize each. */
+uint8_t *
+Writer::grow(size_t count)
 {
-    body_.push_back(v);
+    const size_t at = doc_.size();
+    doc_.resize(at + count);
+    return doc_.data() + at;
 }
 
-void
-Writer::putU32(uint32_t v)
+/** Appends a field header and room for @p payload bytes after it. */
+uint8_t *
+Writer::field(uint32_t tag, FieldType type, size_t payload)
 {
-    for (int i = 0; i < 4; ++i)
-        body_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-Writer::putU64(uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        body_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    if (!inSection_)
+        throw Error("field emitted outside a section");
+    uint8_t *out = grow(5 + payload);
+    storeLe(out, tag);
+    out[4] = static_cast<uint8_t>(type);
+    return out + 5;
 }
 
 void
@@ -82,9 +106,10 @@ Writer::beginSection(uint32_t tag)
         throw Error("writer already sealed");
     if (inSection_)
         throw Error("nested section");
-    putU32(tag);
-    sectionLengthAt_ = body_.size();
-    putU64(0); // patched by endSection()
+    uint8_t *out = grow(12);
+    storeLe(out, tag);
+    storeLe<uint64_t>(out + 4, 0); // patched by endSection()
+    sectionLengthAt_ = doc_.size() - 8;
     inSection_ = true;
 }
 
@@ -93,27 +118,15 @@ Writer::endSection()
 {
     if (!inSection_)
         throw Error("endSection outside a section");
-    const uint64_t length = body_.size() - (sectionLengthAt_ + 8);
-    for (int i = 0; i < 8; ++i)
-        body_[sectionLengthAt_ + static_cast<size_t>(i)] =
-            static_cast<uint8_t>(length >> (8 * i));
+    const uint64_t length = doc_.size() - (sectionLengthAt_ + 8);
+    storeLe(doc_.data() + sectionLengthAt_, length);
     inSection_ = false;
-}
-
-void
-Writer::fieldHeader(uint32_t tag, FieldType type)
-{
-    if (!inSection_)
-        throw Error("field emitted outside a section");
-    putU32(tag);
-    putU8(static_cast<uint8_t>(type));
 }
 
 void
 Writer::u64(uint32_t tag, uint64_t value)
 {
-    fieldHeader(tag, FieldType::U64);
-    putU64(value);
+    storeLe(field(tag, FieldType::U64, 8), value);
 }
 
 void
@@ -122,42 +135,41 @@ Writer::f64(uint32_t tag, double value)
     uint64_t bits = 0;
     static_assert(sizeof bits == sizeof value, "f64 width");
     std::memcpy(&bits, &value, sizeof bits);
-    fieldHeader(tag, FieldType::F64);
-    putU64(bits);
+    storeLe(field(tag, FieldType::F64, 8), bits);
 }
 
 void
 Writer::str(uint32_t tag, const std::string &value)
 {
-    fieldHeader(tag, FieldType::Str);
-    putU64(value.size());
-    body_.insert(body_.end(), value.begin(), value.end());
+    uint8_t *out = field(tag, FieldType::Str, 8 + value.size());
+    storeLe<uint64_t>(out, value.size());
+    std::copy(value.begin(), value.end(), out + 8);
 }
 
 void
 Writer::bytes(uint32_t tag, const std::vector<uint8_t> &value)
 {
-    fieldHeader(tag, FieldType::Bytes);
-    putU64(value.size());
-    body_.insert(body_.end(), value.begin(), value.end());
+    uint8_t *out = field(tag, FieldType::Bytes, 8 + value.size());
+    storeLe<uint64_t>(out, value.size());
+    std::copy(value.begin(), value.end(), out + 8);
 }
 
 void
-Writer::u64vec(uint32_t tag, const std::vector<uint64_t> &value)
+Writer::u64vec(uint32_t tag, const uint64_t *values, size_t count)
 {
-    fieldHeader(tag, FieldType::U64Vec);
-    putU64(value.size());
-    for (const uint64_t v : value)
-        putU64(v);
+    uint8_t *out = field(tag, FieldType::U64Vec, 8 + 8 * count);
+    storeLe<uint64_t>(out, count);
+    for (size_t i = 0; i < count; ++i)
+        storeLe(out + 8 + 8 * i, values[i]);
 }
 
 void
-Writer::u32vec(uint32_t tag, const std::vector<uint32_t> &value)
+Writer::u32vec(uint32_t tag, const uint32_t *values, size_t count)
 {
-    fieldHeader(tag, FieldType::U32Vec);
-    putU64(value.size());
-    for (const uint32_t v : value)
-        putU32(v);
+    uint8_t *out = field(tag, FieldType::U32Vec, 8 + 4 * count);
+    storeLe<uint64_t>(out, count);
+    for (size_t i = 0; i < count; ++i)
+        storeLe(out + 8 + 4 * i, values[i]);
 }
 
 std::vector<uint8_t>
@@ -169,17 +181,12 @@ Writer::seal()
         throw Error("writer already sealed");
     sealed_ = true;
 
-    std::vector<uint8_t> out;
-    out.reserve(sizeof kMagic + body_.size() + 12);
-    out.insert(out.end(), kMagic, kMagic + sizeof kMagic);
-    out.insert(out.end(), body_.begin(), body_.end());
-
-    const uint64_t hash = fnv1a(body_.data(), body_.size());
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<uint8_t>(kTrailerTag >> (8 * i)));
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<uint8_t>(hash >> (8 * i)));
-    return out;
+    const uint64_t hash =
+        fnv1a(doc_.data() + sizeof kMagic, doc_.size() - sizeof kMagic);
+    uint8_t *out = grow(12);
+    storeLe(out, kTrailerTag);
+    storeLe(out + 4, hash);
+    return std::move(doc_);
 }
 
 // ---------------------------------------------------------------------
@@ -210,24 +217,16 @@ class Cursor
     u32()
     {
         need(4, "u32");
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(data_[at_ + static_cast<size_t>(i)])
-                 << (8 * i);
         at_ += 4;
-        return v;
+        return loadLe<uint32_t>(data_ + at_ - 4);
     }
 
     uint64_t
     u64()
     {
         need(8, "u64");
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(data_[at_ + static_cast<size_t>(i)])
-                 << (8 * i);
         at_ += 8;
-        return v;
+        return loadLe<uint64_t>(data_ + at_ - 8);
     }
 
     const uint8_t *
@@ -239,13 +238,31 @@ class Cursor
         return p;
     }
 
+    /**
+     * Skips @p count elements of @p width bytes. A truncated array
+     * reports the offset of its first missing element.
+     */
+    const uint8_t *
+    elements(uint64_t count, size_t width, const char *what)
+    {
+        if (count > remaining() / width)
+            throw truncated(at_ + remaining() / width * width, what);
+        return raw(count * width, what);
+    }
+
   private:
+    static Error
+    truncated(size_t at, const char *what)
+    {
+        return Error(std::string("truncated document reading ") + what +
+                     " at offset " + hex(at));
+    }
+
     void
     need(uint64_t count, const char *what)
     {
         if (count > size_ - at_)
-            throw Error(std::string("truncated document reading ") +
-                        what + " at offset " + hex(at_));
+            throw truncated(at_, what);
     }
 
     const uint8_t *data_;
@@ -285,60 +302,40 @@ Reader::Reader(const std::vector<uint8_t> &document)
                         " claims " + hex(sectionLength) +
                         " bytes but only " + hex(cur.remaining()) +
                         " remain");
-        if (!sections_.emplace(sectionTag,
-                               std::map<uint32_t, Field>{})
-                 .second)
-            throw Error("duplicate section tag " + hex(sectionTag));
-        std::map<uint32_t, Field> &fields = sections_[sectionTag];
+        sections_.push_back(sectionTag);
 
         const size_t sectionEnd =
             cur.at() + static_cast<size_t>(sectionLength);
         while (cur.at() < sectionEnd) {
             const uint32_t fieldTag = cur.u32();
             const uint8_t typeByte = cur.u8();
-            Field field;
-            switch (typeByte) {
-              case static_cast<uint8_t>(FieldType::U64):
-              case static_cast<uint8_t>(FieldType::F64):
-                field.type = static_cast<FieldType>(typeByte);
-                field.scalar = cur.u64();
-                break;
-              case static_cast<uint8_t>(FieldType::Str):
-              case static_cast<uint8_t>(FieldType::Bytes): {
-                field.type = static_cast<FieldType>(typeByte);
+            Field field{sectionTag, fieldTag,
+                        static_cast<FieldType>(typeByte), 0, nullptr};
+            const auto count = [&](const char *what) {
                 const uint64_t n = cur.u64();
                 if (n > kMaxElements)
                     throw Error("field " + hex(fieldTag) +
-                                " claims an implausible length " +
+                                " claims an implausible " + what + " " +
                                 hex(n));
-                const uint8_t *p = cur.raw(n, "string payload");
-                field.blob.assign(p, p + n);
+                field.value = n;
+                return n;
+            };
+            switch (field.type) {
+              case FieldType::U64:
+              case FieldType::F64:
+                field.value = cur.u64();
                 break;
-              }
-              case static_cast<uint8_t>(FieldType::U64Vec): {
-                field.type = FieldType::U64Vec;
-                const uint64_t n = cur.u64();
-                if (n > kMaxElements)
-                    throw Error("field " + hex(fieldTag) +
-                                " claims an implausible count " +
-                                hex(n));
-                field.vec64.reserve(static_cast<size_t>(n));
-                for (uint64_t i = 0; i < n; ++i)
-                    field.vec64.push_back(cur.u64());
+              case FieldType::Str:
+              case FieldType::Bytes:
+                field.payload =
+                    cur.raw(count("length"), "string payload");
                 break;
-              }
-              case static_cast<uint8_t>(FieldType::U32Vec): {
-                field.type = FieldType::U32Vec;
-                const uint64_t n = cur.u64();
-                if (n > kMaxElements)
-                    throw Error("field " + hex(fieldTag) +
-                                " claims an implausible count " +
-                                hex(n));
-                field.vec32.reserve(static_cast<size_t>(n));
-                for (uint64_t i = 0; i < n; ++i)
-                    field.vec32.push_back(cur.u32());
+              case FieldType::U64Vec:
+                field.payload = cur.elements(count("count"), 8, "u64");
                 break;
-              }
+              case FieldType::U32Vec:
+                field.payload = cur.elements(count("count"), 4, "u32");
+                break;
               default:
                 throw Error("field " + hex(fieldTag) +
                             " in section " + hex(sectionTag) +
@@ -348,57 +345,88 @@ Reader::Reader(const std::vector<uint8_t> &document)
             if (cur.at() > sectionEnd)
                 throw Error("field " + hex(fieldTag) +
                             " overruns section " + hex(sectionTag));
-            if (!fields.emplace(fieldTag, std::move(field)).second)
-                throw Error("duplicate field tag " + hex(fieldTag) +
-                            " in section " + hex(sectionTag));
+            fields_.push_back(field);
         }
         if (cur.at() != sectionEnd)
             throw Error("section " + hex(sectionTag) +
                         " length does not land on a field boundary");
     }
+
+    // Sorting finds duplicates in O(n log n), however many (possibly
+    // empty) sections and fields a hostile document packs in.
+    std::sort(sections_.begin(), sections_.end());
+    const auto section =
+        std::adjacent_find(sections_.begin(), sections_.end());
+    if (section != sections_.end())
+        throw Error("duplicate section tag " + hex(*section));
+    const auto key = [](const Field &f) {
+        return std::pair(f.section, f.tag);
+    };
+    std::sort(fields_.begin(), fields_.end(),
+              [&](const Field &a, const Field &b) {
+                  return key(a) < key(b);
+              });
+    const auto field = std::adjacent_find(
+        fields_.begin(), fields_.end(),
+        [&](const Field &a, const Field &b) { return key(a) == key(b); });
+    if (field != fields_.end())
+        throw Error("duplicate field tag " + hex(field->tag) +
+                    " in section " + hex(field->section));
 }
 
 bool
 Reader::hasSection(uint32_t section) const
 {
-    return sections_.count(section) != 0;
+    return std::binary_search(sections_.begin(), sections_.end(),
+                              section);
+}
+
+const Reader::Field *
+Reader::lookup(uint32_t section, uint32_t tag) const
+{
+    const auto f = std::lower_bound(
+        fields_.begin(), fields_.end(), std::pair(section, tag),
+        [](const Field &a, const std::pair<uint32_t, uint32_t> &key) {
+            return std::pair(a.section, a.tag) < key;
+        });
+    return f != fields_.end() && f->section == section && f->tag == tag
+               ? &*f
+               : nullptr;
 }
 
 bool
 Reader::has(uint32_t section, uint32_t tag) const
 {
-    const auto s = sections_.find(section);
-    return s != sections_.end() && s->second.count(tag) != 0;
+    return lookup(section, tag) != nullptr;
 }
 
 const Reader::Field &
 Reader::find(uint32_t section, uint32_t tag, FieldType type) const
 {
-    const auto s = sections_.find(section);
-    if (s == sections_.end())
+    if (!hasSection(section))
         throw Error("missing section " + hex(section));
-    const auto f = s->second.find(tag);
-    if (f == s->second.end())
+    const Field *f = lookup(section, tag);
+    if (f == nullptr)
         throw Error("section " + hex(section) +
                     " is missing field " + hex(tag));
-    if (f->second.type != type)
+    if (f->type != type)
         throw Error("section " + hex(section) + " field " +
                     hex(tag) + " has type " +
-                    typeName(f->second.type) + ", expected " +
+                    typeName(f->type) + ", expected " +
                     typeName(type));
-    return f->second;
+    return *f;
 }
 
 uint64_t
 Reader::u64(uint32_t section, uint32_t tag) const
 {
-    return find(section, tag, FieldType::U64).scalar;
+    return find(section, tag, FieldType::U64).value;
 }
 
 double
 Reader::f64(uint32_t section, uint32_t tag) const
 {
-    const uint64_t bits = find(section, tag, FieldType::F64).scalar;
+    const uint64_t bits = find(section, tag, FieldType::F64).value;
     double v = 0;
     std::memcpy(&v, &bits, sizeof v);
     return v;
@@ -408,25 +436,34 @@ std::string
 Reader::str(uint32_t section, uint32_t tag) const
 {
     const Field &f = find(section, tag, FieldType::Str);
-    return std::string(f.blob.begin(), f.blob.end());
+    return std::string(f.payload, f.payload + f.value);
 }
 
 std::vector<uint8_t>
 Reader::bytes(uint32_t section, uint32_t tag) const
 {
-    return find(section, tag, FieldType::Bytes).blob;
+    const Field &f = find(section, tag, FieldType::Bytes);
+    return std::vector<uint8_t>(f.payload, f.payload + f.value);
 }
 
 std::vector<uint64_t>
 Reader::u64vec(uint32_t section, uint32_t tag) const
 {
-    return find(section, tag, FieldType::U64Vec).vec64;
+    const Field &f = find(section, tag, FieldType::U64Vec);
+    std::vector<uint64_t> out(static_cast<size_t>(f.value));
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i] = loadLe<uint64_t>(f.payload + 8 * i);
+    return out;
 }
 
 std::vector<uint32_t>
 Reader::u32vec(uint32_t section, uint32_t tag) const
 {
-    return find(section, tag, FieldType::U32Vec).vec32;
+    const Field &f = find(section, tag, FieldType::U32Vec);
+    std::vector<uint32_t> out(static_cast<size_t>(f.value));
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i] = loadLe<uint32_t>(f.payload + 4 * i);
+    return out;
 }
 
 } // namespace rr::ckpt

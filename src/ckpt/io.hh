@@ -18,10 +18,17 @@
  *               Magic and before the Trailer
  *
  * Writers emit sections in call order; a Reader parses the whole
- * document up front (strict bounds checks on every length) and then
- * serves random-access typed lookups. Unknown section or field tags
- * are an error: the format is versioned, not extensible in place —
- * bump the version for schema changes.
+ * document up front (strict bounds checks on every length) into a
+ * flat index of where each field's payload lies, and then serves
+ * random-access typed lookups straight from the document bytes.
+ * Unknown section or field tags are an error: the format is
+ * versioned, not extensible in place — bump the version for schema
+ * changes.
+ *
+ * Cost model (docs/CKPT.md): a save is one write pass into a buffer
+ * that starts with the magic, one resize per field, and one FNV-1a
+ * pass in seal(); a load is one FNV-1a pass, one parse pass that
+ * allocates only the index, and one copy per field read.
  *
  * Everything here is dependency-free (in the style of exp/json_out)
  * and byte-deterministic: the same save sequence yields the same
@@ -35,8 +42,8 @@
 #ifndef RR_CKPT_IO_HH
 #define RR_CKPT_IO_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -78,7 +85,7 @@ uint64_t fnv1a(const uint8_t *data, size_t size);
 class Writer
 {
   public:
-    Writer() = default;
+    Writer();
 
     /** Opens a section. Sections must not nest. */
     void beginSection(uint32_t tag);
@@ -90,23 +97,33 @@ class Writer
     void f64(uint32_t tag, double value);
     void str(uint32_t tag, const std::string &value);
     void bytes(uint32_t tag, const std::vector<uint8_t> &value);
-    void u64vec(uint32_t tag, const std::vector<uint64_t> &value);
-    void u32vec(uint32_t tag, const std::vector<uint32_t> &value);
+    void u64vec(uint32_t tag, const uint64_t *values, size_t count);
+    void u32vec(uint32_t tag, const uint32_t *values, size_t count);
+
+    void
+    u64vec(uint32_t tag, const std::vector<uint64_t> &values)
+    {
+        u64vec(tag, values.data(), values.size());
+    }
+
+    void
+    u32vec(uint32_t tag, const std::vector<uint32_t> &values)
+    {
+        u32vec(tag, values.data(), values.size());
+    }
 
     /**
-     * Finishes the document: prepends the magic, appends the
-     * checksum trailer, and returns the bytes. The writer must not
-     * be reused afterwards.
+     * Finishes the document: appends the checksum trailer and returns
+     * the bytes, magic first. The writer must not be reused
+     * afterwards.
      */
     std::vector<uint8_t> seal();
 
   private:
-    void putU8(uint8_t v);
-    void putU32(uint32_t v);
-    void putU64(uint64_t v);
-    void fieldHeader(uint32_t tag, FieldType type);
+    uint8_t *grow(size_t count);
+    uint8_t *field(uint32_t tag, FieldType type, size_t payload);
 
-    std::vector<uint8_t> body_;
+    std::vector<uint8_t> doc_; ///< magic, then the body so far
     bool inSection_ = false;
     size_t sectionLengthAt_ = 0; ///< offset of the open length slot
     bool sealed_ = false;
@@ -119,11 +136,15 @@ class Writer
  * duplicate tags — throws ckpt::Error from the constructor; lookups
  * throw on missing sections/fields or type mismatches, so restore
  * code never needs its own validation.
+ *
+ * The index points into @p document, which must outlive the Reader;
+ * a temporary document does not compile.
  */
 class Reader
 {
   public:
     explicit Reader(const std::vector<uint8_t> &document);
+    explicit Reader(std::vector<uint8_t> &&document) = delete;
 
     /** @return true when the document contains section @p tag. */
     bool hasSection(uint32_t section) const;
@@ -141,19 +162,22 @@ class Reader
                                  uint32_t tag) const;
 
   private:
+    /** One index entry: a field's type and where its payload lies. */
     struct Field
     {
+        uint32_t section;
+        uint32_t tag;
         FieldType type;
-        uint64_t scalar = 0;         ///< U64 / F64 bit pattern
-        std::vector<uint8_t> blob;   ///< Str / Bytes
-        std::vector<uint64_t> vec64; ///< U64Vec
-        std::vector<uint32_t> vec32; ///< U32Vec
+        uint64_t value;         ///< U64/F64 bit pattern, else count
+        const uint8_t *payload; ///< Str/Bytes/vector elements
     };
 
+    const Field *lookup(uint32_t section, uint32_t tag) const;
     const Field &find(uint32_t section, uint32_t tag,
                       FieldType type) const;
 
-    std::map<uint32_t, std::map<uint32_t, Field>> sections_;
+    std::vector<uint32_t> sections_; ///< sorted section tags
+    std::vector<Field> fields_;      ///< sorted by (section, tag)
 };
 
 } // namespace rr::ckpt

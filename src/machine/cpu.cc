@@ -552,10 +552,8 @@ Cpu::saveState(ckpt::Writer &writer) const
     writer.u64(kCpuTrap, static_cast<uint64_t>(trap_));
     writer.u64(kCpuCycles, cycles_);
     writer.u64(kCpuInstret, instret_);
-    writer.u32vec(kCpuRegs, regs_.snapshot());
-    writer.u32vec(kCpuMem,
-                  std::vector<uint32_t>(mem_.data(),
-                                        mem_.data() + mem_.size()));
+    writer.u32vec(kCpuRegs, regs_.data(), regs_.size());
+    writer.u32vec(kCpuMem, mem_.data(), mem_.size());
     writer.u32vec(kCpuMasks, relocation_.masks());
     writer.u64(kCpuContextSize, relocation_.contextSize());
     writer.u64(kCpuRrmPending, rrmPending_ ? 1 : 0);

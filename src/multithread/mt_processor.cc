@@ -766,8 +766,6 @@ MtProcessor::fingerprint() const
 void
 MtProcessor::saveState(ckpt::Writer &writer) const
 {
-    const unsigned numThreads = config_.workload.numThreads;
-
     writer.beginSection(kSectionProc);
     writer.u64(kProcNow, now_);
     writer.u64(kProcUseful, useful_);
@@ -786,15 +784,14 @@ MtProcessor::saveState(ckpt::Writer &writer) const
     writer.u64(kProcResidentCount, residentCount_);
     writer.u64(kProcLastResidencyTime, lastResidencyTime_);
     writer.f64(kProcResidencyIntegral, residencyIntegral_);
-    writer.u64vec(
-        kProcStats,
-        {stats_.totalCycles, stats_.usefulCycles, stats_.idleCycles,
-         stats_.switchCycles, stats_.allocCycles,
-         stats_.deallocCycles, stats_.loadCycles,
-         stats_.unloadCycles, stats_.queueCycles, stats_.faults,
-         stats_.cacheFaults, stats_.syncFaults, stats_.loads,
-         stats_.unloads, stats_.allocSuccesses,
-         stats_.allocFailures});
+    const uint64_t stats[] = {
+        stats_.totalCycles,  stats_.usefulCycles,   stats_.idleCycles,
+        stats_.switchCycles, stats_.allocCycles,    stats_.deallocCycles,
+        stats_.loadCycles,   stats_.unloadCycles,   stats_.queueCycles,
+        stats_.faults,       stats_.cacheFaults,    stats_.syncFaults,
+        stats_.loads,        stats_.unloads,        stats_.allocSuccesses,
+        stats_.allocFailures};
+    writer.u64vec(kProcStats, stats, std::size(stats));
     writer.u64(kProcMaxResident, stats_.maxResidentContexts);
     if (const auto *flexible =
             dynamic_cast<const FlexibleContextPolicy *>(policy_.get())) {
@@ -806,60 +803,57 @@ MtProcessor::saveState(ckpt::Writer &writer) const
     }
     writer.endSection();
 
+    // One column per field, each filled into the same scratch buffer.
     writer.beginSection(kSectionThreads);
-    std::vector<uint32_t> regsUsed, state, priority, hasContext,
-        ctxRrm, ctxSize;
-    std::vector<uint64_t> totalWork, remainingWork, finishTime,
-        faultCompletion, blockedAt, blockEpoch, spinAccrued, faults,
-        timesLoaded, timesUnloaded;
-    std::vector<uint64_t> rngState[4];
-    for (unsigned f = 0; f < 4; ++f)
-        rngState[f].reserve(numThreads);
-    for (const Thread &t : threads_) {
-        regsUsed.push_back(t.regsUsed);
-        state.push_back(static_cast<uint32_t>(t.state));
-        priority.push_back(t.priority);
-        hasContext.push_back(t.context ? 1 : 0);
-        ctxRrm.push_back(t.context ? t.context->rrm : 0);
-        ctxSize.push_back(t.context ? t.context->size : 0);
-        totalWork.push_back(t.totalWork);
-        remainingWork.push_back(t.remainingWork);
-        finishTime.push_back(t.finishTime);
-        faultCompletion.push_back(t.faultCompletion);
-        blockedAt.push_back(t.blockedAt);
-        blockEpoch.push_back(t.blockEpoch);
-        spinAccrued.push_back(
-            twoPhase() && t.state == ThreadState::BlockedLoaded
-                ? spinAccruedNow(t)
-                : t.spinAccrued);
-        faults.push_back(t.faults);
-        timesLoaded.push_back(t.timesLoaded);
-        timesUnloaded.push_back(t.timesUnloaded);
-        uint64_t s[4];
-        t.rng.state(s);
-        for (unsigned f = 0; f < 4; ++f)
-            rngState[f].push_back(s[f]);
-    }
-    writer.u32vec(kThrRegsUsed, regsUsed);
-    writer.u32vec(kThrState, state);
-    writer.u32vec(kThrPriority, priority);
-    writer.u64vec(kThrTotalWork, totalWork);
-    writer.u64vec(kThrRemainingWork, remainingWork);
-    writer.u64vec(kThrFinishTime, finishTime);
-    writer.u32vec(kThrHasContext, hasContext);
-    writer.u32vec(kThrCtxRrm, ctxRrm);
-    writer.u32vec(kThrCtxSize, ctxSize);
-    writer.u64vec(kThrFaultCompletion, faultCompletion);
-    writer.u64vec(kThrBlockedAt, blockedAt);
-    writer.u64vec(kThrBlockEpoch, blockEpoch);
-    writer.u64vec(kThrSpinAccrued, spinAccrued);
-    writer.u64vec(kThrFaults, faults);
-    writer.u64vec(kThrTimesLoaded, timesLoaded);
-    writer.u64vec(kThrTimesUnloaded, timesUnloaded);
-    writer.u64vec(kThrRng0, rngState[0]);
-    writer.u64vec(kThrRng1, rngState[1]);
-    writer.u64vec(kThrRng2, rngState[2]);
-    writer.u64vec(kThrRng3, rngState[3]);
+    std::vector<uint32_t> col32(threads_.size());
+    std::vector<uint64_t> col64(threads_.size());
+    const auto u32col = [&](uint32_t tag, auto field) {
+        for (std::size_t i = 0; i < threads_.size(); ++i)
+            col32[i] = static_cast<uint32_t>(field(threads_[i]));
+        writer.u32vec(tag, col32);
+    };
+    const auto u64col = [&](uint32_t tag, auto field) {
+        for (std::size_t i = 0; i < threads_.size(); ++i)
+            col64[i] = field(threads_[i]);
+        writer.u64vec(tag, col64);
+    };
+    const auto rngWord = [](unsigned word) {
+        return [word](const Thread &t) {
+            uint64_t s[4];
+            t.rng.state(s);
+            return s[word];
+        };
+    };
+    u32col(kThrRegsUsed, [](const Thread &t) { return t.regsUsed; });
+    u32col(kThrState, [](const Thread &t) { return t.state; });
+    u32col(kThrPriority, [](const Thread &t) { return t.priority; });
+    u64col(kThrTotalWork, [](const Thread &t) { return t.totalWork; });
+    u64col(kThrRemainingWork,
+           [](const Thread &t) { return t.remainingWork; });
+    u64col(kThrFinishTime, [](const Thread &t) { return t.finishTime; });
+    u32col(kThrHasContext,
+           [](const Thread &t) { return t.context ? 1 : 0; });
+    u32col(kThrCtxRrm,
+           [](const Thread &t) { return t.context ? t.context->rrm : 0; });
+    u32col(kThrCtxSize,
+           [](const Thread &t) { return t.context ? t.context->size : 0; });
+    u64col(kThrFaultCompletion,
+           [](const Thread &t) { return t.faultCompletion; });
+    u64col(kThrBlockedAt, [](const Thread &t) { return t.blockedAt; });
+    u64col(kThrBlockEpoch, [](const Thread &t) { return t.blockEpoch; });
+    u64col(kThrSpinAccrued, [this](const Thread &t) {
+        return twoPhase() && t.state == ThreadState::BlockedLoaded
+                   ? spinAccruedNow(t)
+                   : t.spinAccrued;
+    });
+    u64col(kThrFaults, [](const Thread &t) { return t.faults; });
+    u64col(kThrTimesLoaded, [](const Thread &t) { return t.timesLoaded; });
+    u64col(kThrTimesUnloaded,
+           [](const Thread &t) { return t.timesUnloaded; });
+    u64col(kThrRng0, rngWord(0));
+    u64col(kThrRng1, rngWord(1));
+    u64col(kThrRng2, rngWord(2));
+    u64col(kThrRng3, rngWord(3));
     writer.endSection();
 
     completions_.saveState(writer);
@@ -881,63 +875,41 @@ MtProcessor::restoreState(const ckpt::Reader &reader)
 {
     const unsigned numThreads = config_.workload.numThreads;
 
-    const std::vector<uint32_t> regsUsed =
-        reader.u32vec(kSectionThreads, kThrRegsUsed);
-    const std::vector<uint32_t> state =
-        reader.u32vec(kSectionThreads, kThrState);
-    const std::vector<uint32_t> priority =
-        reader.u32vec(kSectionThreads, kThrPriority);
-    const std::vector<uint32_t> hasContext =
-        reader.u32vec(kSectionThreads, kThrHasContext);
-    const std::vector<uint32_t> ctxRrm =
-        reader.u32vec(kSectionThreads, kThrCtxRrm);
-    const std::vector<uint32_t> ctxSize =
-        reader.u32vec(kSectionThreads, kThrCtxSize);
-    const std::vector<uint64_t> totalWork =
-        reader.u64vec(kSectionThreads, kThrTotalWork);
-    const std::vector<uint64_t> remainingWork =
-        reader.u64vec(kSectionThreads, kThrRemainingWork);
-    const std::vector<uint64_t> finishTime =
-        reader.u64vec(kSectionThreads, kThrFinishTime);
-    const std::vector<uint64_t> faultCompletion =
-        reader.u64vec(kSectionThreads, kThrFaultCompletion);
-    const std::vector<uint64_t> blockedAt =
-        reader.u64vec(kSectionThreads, kThrBlockedAt);
-    const std::vector<uint64_t> blockEpoch =
-        reader.u64vec(kSectionThreads, kThrBlockEpoch);
-    const std::vector<uint64_t> spinAccrued =
-        reader.u64vec(kSectionThreads, kThrSpinAccrued);
-    const std::vector<uint64_t> faults =
-        reader.u64vec(kSectionThreads, kThrFaults);
-    const std::vector<uint64_t> timesLoaded =
-        reader.u64vec(kSectionThreads, kThrTimesLoaded);
-    const std::vector<uint64_t> timesUnloaded =
-        reader.u64vec(kSectionThreads, kThrTimesUnloaded);
-    const std::vector<uint64_t> rng0 =
-        reader.u64vec(kSectionThreads, kThrRng0);
-    const std::vector<uint64_t> rng1 =
-        reader.u64vec(kSectionThreads, kThrRng1);
-    const std::vector<uint64_t> rng2 =
-        reader.u64vec(kSectionThreads, kThrRng2);
-    const std::vector<uint64_t> rng3 =
-        reader.u64vec(kSectionThreads, kThrRng3);
-
-    const auto sized = [numThreads](std::size_t n) {
-        return n == numThreads;
+    // Every thread column holds exactly one entry per thread.
+    const auto sized = [numThreads](auto column) {
+        if (column.size() != numThreads)
+            throw ckpt::Error(
+                "thread arrays do not match the configured " +
+                std::to_string(numThreads) + " threads");
+        return column;
     };
-    if (!sized(regsUsed.size()) || !sized(state.size()) ||
-        !sized(priority.size()) || !sized(hasContext.size()) ||
-        !sized(ctxRrm.size()) || !sized(ctxSize.size()) ||
-        !sized(totalWork.size()) || !sized(remainingWork.size()) ||
-        !sized(finishTime.size()) || !sized(faultCompletion.size()) ||
-        !sized(blockedAt.size()) || !sized(blockEpoch.size()) ||
-        !sized(spinAccrued.size()) || !sized(faults.size()) ||
-        !sized(timesLoaded.size()) || !sized(timesUnloaded.size()) ||
-        !sized(rng0.size()) || !sized(rng1.size()) ||
-        !sized(rng2.size()) || !sized(rng3.size()))
-        throw ckpt::Error(
-            "thread arrays do not match the configured " +
-            std::to_string(numThreads) + " threads");
+    const auto u32col = [&](uint32_t tag) {
+        return sized(reader.u32vec(kSectionThreads, tag));
+    };
+    const auto u64col = [&](uint32_t tag) {
+        return sized(reader.u64vec(kSectionThreads, tag));
+    };
+    const std::vector<uint32_t> regsUsed = u32col(kThrRegsUsed);
+    const std::vector<uint32_t> state = u32col(kThrState);
+    const std::vector<uint32_t> priority = u32col(kThrPriority);
+    const std::vector<uint32_t> hasContext = u32col(kThrHasContext);
+    const std::vector<uint32_t> ctxRrm = u32col(kThrCtxRrm);
+    const std::vector<uint32_t> ctxSize = u32col(kThrCtxSize);
+    const std::vector<uint64_t> totalWork = u64col(kThrTotalWork);
+    const std::vector<uint64_t> remainingWork = u64col(kThrRemainingWork);
+    const std::vector<uint64_t> finishTime = u64col(kThrFinishTime);
+    const std::vector<uint64_t> faultCompletion =
+        u64col(kThrFaultCompletion);
+    const std::vector<uint64_t> blockedAt = u64col(kThrBlockedAt);
+    const std::vector<uint64_t> blockEpoch = u64col(kThrBlockEpoch);
+    const std::vector<uint64_t> spinAccrued = u64col(kThrSpinAccrued);
+    const std::vector<uint64_t> faults = u64col(kThrFaults);
+    const std::vector<uint64_t> timesLoaded = u64col(kThrTimesLoaded);
+    const std::vector<uint64_t> timesUnloaded = u64col(kThrTimesUnloaded);
+    const std::vector<uint64_t> rng0 = u64col(kThrRng0);
+    const std::vector<uint64_t> rng1 = u64col(kThrRng1);
+    const std::vector<uint64_t> rng2 = u64col(kThrRng2);
+    const std::vector<uint64_t> rng3 = u64col(kThrRng3);
 
     // Validate every restored context before touching any live
     // structure: in bounds, non-overlapping, and sized so the policy
@@ -1135,8 +1107,11 @@ MtProcessor::restoreState(const ckpt::Reader &reader)
     completions_.reserve(numThreads);
     completions_.restoreState(reader);
 
-    recorder_.restore(reader.u64vec(kSectionRecorder, 1),
-                      reader.u64vec(kSectionRecorder, 2));
+    std::vector<uint64_t> times = reader.u64vec(kSectionRecorder, 1);
+    std::vector<uint64_t> values = reader.u64vec(kSectionRecorder, 2);
+    if (times.size() != values.size())
+        throw ckpt::Error("recorder series disagree in length");
+    recorder_.restore(std::move(times), std::move(values));
 
     if (auto *auditor =
             dynamic_cast<trace::TraceAuditor *>(config_.traceSink))

@@ -55,6 +55,19 @@ TraceAuditor::problem(std::string text)
 }
 
 void
+TraceAuditor::threadProblem(const TraceEvent &event, const char *what)
+{
+    std::string text = "tid ";
+    text += std::to_string(event.tid);
+    text += ' ';
+    text += what;
+    text += " (cycle ";
+    text += std::to_string(event.cycle);
+    text += ')';
+    problem(std::move(text));
+}
+
+void
 TraceAuditor::checkCharge(const TraceEvent &event, uint64_t expect,
                           const char *what)
 {
@@ -100,8 +113,6 @@ TraceAuditor::emit(const TraceEvent &event)
     TidState *tid = nullptr;
     if (event.tid != TraceEvent::kNoThread)
         tid = &tids_[event.tid];
-    const std::string who =
-        tid != nullptr ? "tid " + std::to_string(event.tid) : "scheduler";
 
     switch (event.kind) {
       case EventKind::Alloc:
@@ -112,8 +123,7 @@ TraceAuditor::emit(const TraceEvent &event)
                 problem("alloc with no thread at cycle " +
                         std::to_string(event.cycle));
             } else if (tid->allocated) {
-                problem(who + " allocated twice without a free (cycle " +
-                        std::to_string(event.cycle) + ")");
+                threadProblem(event, "allocated twice without a free");
             } else {
                 tid->allocated = true;
             }
@@ -127,11 +137,9 @@ TraceAuditor::emit(const TraceEvent &event)
         checkCharge(event, costs_.loadCost(event.regs), "load");
         if (tid != nullptr) {
             if (!tid->allocated)
-                problem(who + " loaded without an allocation (cycle " +
-                        std::to_string(event.cycle) + ")");
+                threadProblem(event, "loaded without an allocation");
             if (tid->loaded)
-                problem(who + " loaded twice without an unload (cycle " +
-                        std::to_string(event.cycle) + ")");
+                threadProblem(event, "loaded twice without an unload");
             tid->loaded = true;
         }
         break;
@@ -140,8 +148,7 @@ TraceAuditor::emit(const TraceEvent &event)
         checkCharge(event, costs_.unloadCost(event.regs), "unload");
         if (tid != nullptr) {
             if (!tid->loaded)
-                problem(who + " unloaded while not loaded (cycle " +
-                        std::to_string(event.cycle) + ")");
+                threadProblem(event, "unloaded while not loaded");
             tid->loaded = false;
         }
         break;
@@ -152,16 +159,15 @@ TraceAuditor::emit(const TraceEvent &event)
             ++finishFrees_;
         if (tid != nullptr) {
             if (!tid->allocated)
-                problem(who + " freed while not allocated (cycle " +
-                        std::to_string(event.cycle) + ")");
+                threadProblem(event, "freed while not allocated");
             // A finishing thread frees its loaded context directly; an
             // evicted context must already have paid its unload.
             if (event.aux == TraceEvent::kFreeFinished && !tid->loaded)
-                problem(who + " finished without a loaded context (cycle " +
-                        std::to_string(event.cycle) + ")");
+                threadProblem(event,
+                              "finished without a loaded context");
             if (event.aux == TraceEvent::kFreeEvicted && tid->loaded)
-                problem(who + " evicted without paying an unload (cycle " +
-                        std::to_string(event.cycle) + ")");
+                threadProblem(event,
+                              "evicted without paying an unload");
             tid->allocated = false;
             tid->loaded = false;
         }
@@ -177,8 +183,7 @@ TraceAuditor::emit(const TraceEvent &event)
 
       case EventKind::RunSegment:
         if (tid != nullptr && !tid->loaded)
-            problem(who + " ran without a loaded context (cycle " +
-                    std::to_string(event.cycle) + ")");
+            threadProblem(event, "ran without a loaded context");
         break;
 
       case EventKind::FaultIssue:
@@ -240,13 +245,18 @@ TraceAuditor::reconcile(const AuditTotals &totals) const
     check("frees", kindCount(EventKind::Free),
           totals.allocSuccesses); // every granted context is freed once
 
-    // 3. No context is left mid-lifecycle at end of run.
-    for (const auto &[id, state] : tids_) {
+    // 3. No context is left mid-lifecycle at end of run. Listed by
+    // tid: the table's own order depends on its insertion history, so
+    // a resumed audit would otherwise list them differently.
+    std::vector<uint32_t> held;
+    for (const auto &[id, state] : tids_)
         if (state.allocated)
-            out.push_back("tid " + std::to_string(id) +
-                          " still holds an allocated context at end of "
-                          "trace");
-    }
+            held.push_back(id);
+    std::sort(held.begin(), held.end());
+    for (const uint32_t id : held)
+        out.push_back("tid " + std::to_string(id) +
+                      " still holds an allocated context at end of "
+                      "trace");
 
     return out;
 }
@@ -257,12 +267,8 @@ TraceAuditor::saveState(ckpt::Writer &writer) const
     writer.beginSection(kCkptSection);
     writer.u64(1, eventsSeen_);
     writer.u64(2, lastCycle_);
-    writer.u64vec(3, std::vector<uint64_t>(sumCycles_,
-                                           sumCycles_ +
-                                               numEventKinds));
-    writer.u64vec(4, std::vector<uint64_t>(countByKind_,
-                                           countByKind_ +
-                                               numEventKinds));
+    writer.u64vec(3, sumCycles_, numEventKinds);
+    writer.u64vec(4, countByKind_, numEventKinds);
     writer.u64(5, allocOk_);
     writer.u64(6, allocFailed_);
     writer.u64(7, finishFrees_);
@@ -315,6 +321,26 @@ TraceAuditor::restoreState(const ckpt::Reader &reader)
         reader.u32vec(kCkptSection, 10);
     if (tids.size() != flags.size())
         throw ckpt::Error("auditor thread arrays disagree in length");
+    // saveState() writes each thread once, in ascending order, with
+    // only the allocated (1) and loaded (2) bits; anything else is a
+    // state no run reaches.
+    for (std::size_t i = 0; i < tids.size(); ++i) {
+        if (i > 0 && tids[i] <= tids[i - 1])
+            throw ckpt::Error("auditor thread ids are unsorted or "
+                              "repeated at tid " +
+                              std::to_string(tids[i]));
+        if (tids[i] == TraceEvent::kNoThread)
+            throw ckpt::Error("auditor state names the reserved "
+                              "no-thread id");
+        if ((flags[i] & ~3u) != 0)
+            throw ckpt::Error("auditor tid " + std::to_string(tids[i]) +
+                              " has unknown flag bits " +
+                              std::to_string(flags[i]));
+    }
+    const uint64_t problemCount = reader.u64(kCkptSection, 11);
+    if (problemCount > kMaxProblems)
+        throw ckpt::Error("auditor holds " + std::to_string(problemCount) +
+                          " problems, more than it ever keeps");
 
     eventsSeen_ = reader.u64(kCkptSection, 1);
     lastCycle_ = reader.u64(kCkptSection, 2);
@@ -333,7 +359,6 @@ TraceAuditor::restoreState(const ckpt::Reader &reader)
         tids_[tids[i]] = state;
     }
 
-    const uint64_t problemCount = reader.u64(kCkptSection, 11);
     const std::vector<uint8_t> blob =
         reader.bytes(kCkptSection, 12);
     problems_.clear();

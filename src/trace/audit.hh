@@ -114,7 +114,13 @@ class TraceAuditor : public TraceSink, public ckpt::Restorable
         bool loaded = false;    ///< Load charged, not yet un/freed
     };
 
+    /**
+     * Problems are formatted only here, on the branch that records
+     * one, so a clean event neither formats nor allocates.
+     */
     void problem(std::string text);
+    /** Records "tid N <what> (cycle C)" for @p event's thread. */
+    void threadProblem(const TraceEvent &event, const char *what);
     void checkCharge(const TraceEvent &event, uint64_t expect,
                      const char *what);
 

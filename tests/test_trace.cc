@@ -198,6 +198,198 @@ TEST(Audit, CatchesMischargedCosts)
     EXPECT_NE(problems.front().find("alloc"), std::string::npos);
 }
 
+// Every streaming problem, pinned to its exact text from a hand-built
+// event sequence. Distinct costs make each mis-charge unambiguous.
+runtime::CostModel
+auditCosts()
+{
+    runtime::CostModel costs;
+    costs.allocSucceed = 11;
+    costs.allocFail = 5;
+    costs.dealloc = 3;
+    costs.queueOp = 10;
+    costs.blockOverhead = 10;
+    costs.contextSwitch = 6;
+    return costs;
+}
+
+/** A correctly charged event of @p kind for thread @p tid. */
+trace::TraceEvent
+charged(trace::EventKind kind, uint32_t tid, uint64_t cycle,
+        uint64_t aux = 0)
+{
+    const runtime::CostModel costs = auditCosts();
+    trace::TraceEvent event = makeEvent(kind, cycle);
+    event.tid = tid;
+    event.regs = 8;
+    event.aux = aux;
+    switch (kind) {
+      case trace::EventKind::Alloc: event.cycles = costs.allocSucceed; break;
+      case trace::EventKind::Free: event.cycles = costs.dealloc; break;
+      case trace::EventKind::Load: event.cycles = costs.loadCost(8); break;
+      case trace::EventKind::Unload:
+        event.cycles = costs.unloadCost(8);
+        break;
+      case trace::EventKind::Switch: event.cycles = costs.contextSwitch; break;
+      case trace::EventKind::Queue: event.cycles = costs.queueOp; break;
+      default: break;
+    }
+    return event;
+}
+
+std::vector<std::string>
+streamingProblems(const std::vector<trace::TraceEvent> &events)
+{
+    trace::TraceAuditor auditor(auditCosts());
+    for (const trace::TraceEvent &event : events)
+        auditor.emit(event);
+    return auditor.problems();
+}
+
+using Texts = std::vector<std::string>;
+
+TEST(AuditText, OrderingProblems)
+{
+    using trace::EventKind;
+    constexpr uint32_t kNone = trace::TraceEvent::kNoThread;
+    EXPECT_EQ(streamingProblems({charged(EventKind::RunSegment, kNone, 10),
+                                 charged(EventKind::RunSegment, kNone, 5)}),
+              Texts{"time went backwards: event 'run' ends at 5 after "
+                    "an event ending at 10"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Switch, kNone, 4)}),
+              Texts{"event 'switch' spans 6 cycles but ends at 4"});
+}
+
+TEST(AuditText, LifecycleProblems)
+{
+    using trace::EventKind;
+    constexpr uint32_t kNone = trace::TraceEvent::kNoThread;
+    constexpr uint64_t kFinished = trace::TraceEvent::kFreeFinished;
+    constexpr uint64_t kEvicted = trace::TraceEvent::kFreeEvicted;
+
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, kNone, 20)}),
+              Texts{"alloc with no thread at cycle 20"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, 3, 20),
+                                 charged(EventKind::Alloc, 3, 40)}),
+              Texts{"tid 3 allocated twice without a free (cycle 40)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Load, 4, 30)}),
+              Texts{"tid 4 loaded without an allocation (cycle 30)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, 5, 20),
+                                 charged(EventKind::Load, 5, 40),
+                                 charged(EventKind::Load, 5, 60)}),
+              Texts{"tid 5 loaded twice without an unload (cycle 60)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, 6, 20),
+                                 charged(EventKind::Unload, 6, 40)}),
+              Texts{"tid 6 unloaded while not loaded (cycle 40)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Free, 7, 20, kEvicted)}),
+              Texts{"tid 7 freed while not allocated (cycle 20)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, 8, 20),
+                                 charged(EventKind::Free, 8, 40, kFinished)}),
+              Texts{"tid 8 finished without a loaded context (cycle 40)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, 9, 20),
+                                 charged(EventKind::Load, 9, 40),
+                                 charged(EventKind::Free, 9, 60, kEvicted)}),
+              Texts{"tid 9 evicted without paying an unload (cycle 60)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::RunSegment, 10, 20)}),
+              Texts{"tid 10 ran without a loaded context (cycle 20)"});
+
+    // A clean lifecycle, for contrast, records nothing.
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, 1, 20),
+                                 charged(EventKind::Load, 1, 40),
+                                 charged(EventKind::RunSegment, 1, 50),
+                                 charged(EventKind::Unload, 1, 70),
+                                 charged(EventKind::Free, 1, 80, kEvicted),
+                                 charged(EventKind::Alloc, 1, 100),
+                                 charged(EventKind::Load, 1, 120),
+                                 charged(EventKind::Free, 1, 130, kFinished)}),
+              Texts{});
+}
+
+TEST(AuditText, EveryMischargedKind)
+{
+    using trace::EventKind;
+    constexpr uint32_t kNone = trace::TraceEvent::kNoThread;
+    const auto off = [](trace::TraceEvent event) {
+        ++event.cycles;
+        return event;
+    };
+    trace::TraceEvent failed = charged(EventKind::Alloc, kNone, 100);
+    failed.ok = false;
+    failed.cycles = 6;
+
+    EXPECT_EQ(streamingProblems({off(charged(EventKind::Alloc, 1, 100))}),
+              Texts{"successful alloc charged 12 cycles, cost model says "
+                    "11 (cycle 100, tid 1)"});
+    EXPECT_EQ(streamingProblems({failed}),
+              Texts{"failed alloc charged 6 cycles, cost model says 5 "
+                    "(cycle 100)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, 2, 20),
+                                 off(charged(EventKind::Load, 2, 100))}),
+              Texts{"load charged 19 cycles, cost model says 18 (cycle "
+                    "100, tid 2)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, 2, 20),
+                                 charged(EventKind::Load, 2, 40),
+                                 off(charged(EventKind::Unload, 2, 100))}),
+              Texts{"unload charged 19 cycles, cost model says 18 (cycle "
+                    "100, tid 2)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, 2, 20),
+                                 off(charged(EventKind::Free, 2, 100))}),
+              Texts{"free charged 4 cycles, cost model says 3 (cycle "
+                    "100, tid 2)"});
+    EXPECT_EQ(streamingProblems({off(charged(EventKind::Switch, kNone, 100))}),
+              Texts{"context switch charged 7 cycles, cost model says 6 "
+                    "(cycle 100)"});
+    EXPECT_EQ(streamingProblems({off(charged(EventKind::Queue, 4, 100))}),
+              Texts{"queue operation charged 11 cycles, cost model says "
+                    "10 (cycle 100, tid 4)"});
+}
+
+// One event breaking every rule at once reports in a fixed order:
+// time, span, charge, then the thread's lifecycle.
+TEST(AuditText, ProblemsOfOneEventKeepTheirOrder)
+{
+    using trace::EventKind;
+    trace::TraceEvent bad = charged(EventKind::Load, 12, 5);
+    bad.cycles = 30;
+    EXPECT_EQ(streamingProblems({charged(EventKind::RunSegment,
+                                         trace::TraceEvent::kNoThread, 50),
+                                 bad}),
+              (Texts{"time went backwards: event 'load' ends at 5 after "
+                     "an event ending at 50",
+                     "event 'load' spans 30 cycles but ends at 5",
+                     "load charged 30 cycles, cost model says 18 (cycle "
+                     "5, tid 12)",
+                     "tid 12 loaded without an allocation (cycle 5)"}));
+}
+
+TEST(AuditText, ProblemsPastTheCapAreCountedAndHeldContextsNamed)
+{
+    using trace::EventKind;
+    trace::TraceAuditor auditor(auditCosts());
+    // 41 events with falling end times: 40 problems, 32 kept.
+    for (uint64_t i = 0; i <= 40; ++i)
+        auditor.emit(charged(EventKind::RunSegment,
+                             trace::TraceEvent::kNoThread, 1000 - i));
+    ASSERT_EQ(auditor.problems().size(), 32u);
+    EXPECT_EQ(auditor.problems().back(),
+              "time went backwards: event 'run' ends at 968 after an "
+              "event ending at 969");
+
+    std::vector<std::string> all = auditor.reconcile(trace::AuditTotals{});
+    ASSERT_EQ(all.size(), 33u);
+    EXPECT_EQ(all.back(), "... and 8 more streaming problems");
+
+    auditor.emit(charged(EventKind::Alloc, 21, 2000));
+    trace::AuditTotals totals;
+    totals.allocCycles = totals.totalCycles = 11;
+    totals.allocSuccesses = 1;
+    all = auditor.reconcile(totals);
+    ASSERT_EQ(all.size(), 35u);
+    EXPECT_EQ(all[33], "frees: trace 0 != stats 1");
+    EXPECT_EQ(all[34], "tid 21 still holds an allocated context at end "
+                       "of trace");
+}
+
 // Tracing must not change a single digit of any result: the sink
 // observes charges that are made regardless.
 TEST(Trace, AttachingASinkIsBehaviorNeutral)
